@@ -38,19 +38,26 @@ class MomentStack:
     diagonal).  ``centered_cov``/``group_cor`` are the classical covariance
     and correlation of the profile columns within each group.  ``moment_var``
     is the variance estimate of each covariance entry (fourth-moment minus
-    squared second-moment of the entry's product variable).
+    squared second-moment of the entry's product variable).  Fields after
+    ``weighted_cov`` are None when they were not computed.
     """
 
     counts: np.ndarray  # (L, J)
     gammas: np.ndarray  # (L, J)
-    col_mean: np.ndarray  # (L, J, S)
     group_cov: np.ndarray  # (L, J, S, S)
     weighted_cov: np.ndarray  # (L, S, S)
-    centered_cov: np.ndarray  # (L, J, S, S)
-    group_cor: Optional[np.ndarray]  # (L, J, S, S), NaN where degenerate
-    cor_valid: Optional[np.ndarray]  # (L, J) bool
-    moment_var: Optional[np.ndarray]  # (L, J, S, S)
-    prod_sqmean: Optional[np.ndarray]  # (L, J, S, S) scale for degeneracy checks
+    col_mean: Optional[np.ndarray] = None  # (L, J, S)
+    centered_cov: Optional[np.ndarray] = None  # (L, J, S, S)
+    group_cor: Optional[np.ndarray] = None  # (L, J, S, S), NaN where degenerate
+    cor_valid: Optional[np.ndarray] = None  # (L, J) bool
+    moment_var: Optional[np.ndarray] = None  # (L, J, S, S)
+    prod_sqmean: Optional[np.ndarray] = None  # (L, J, S, S) scale for degeneracy checks
+
+    @property
+    def degenerate_var(self) -> np.ndarray:
+        """(L, J, S, S) mask of entries whose moment variance is degenerate."""
+        scale = np.maximum(self.prod_sqmean, 1.0e-300)
+        return self.moment_var <= DEGENERATE_REL_TOL * scale
 
 
 class StatEngine:

@@ -15,7 +15,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .engine import DEGENERATE_REL_TOL, StatEngine
+from .engine import StatEngine
 from .errors import DataError, DegenerateDataError
 from .samples import (
     DistanceProfile,
@@ -158,9 +158,7 @@ def moment_set(ms: GroupedMultiSample) -> MomentSet:
     engine = StatEngine(ms)
     mom = engine.moments(ms.codes[None, :], want_cor=True, want_moment_var=True)
 
-    mv = mom.moment_var[0]
-    scale = np.maximum(mom.prod_sqmean[0], 1.0e-300)
-    bad = mv <= DEGENERATE_REL_TOL * scale
+    bad = mom.degenerate_var[0]
     if np.any(bad):
         j, s, t = np.argwhere(bad)[0]
         raise DegenerateDataError(
@@ -185,7 +183,7 @@ def moment_set(ms: GroupedMultiSample) -> MomentSet:
         pooled_means=tuple(engine.pooled_means),
         group_cov=mom.group_cov[0],
         group_cor=mom.group_cor[0],
-        moment_var=mv,
+        moment_var=mom.moment_var[0],
         pooled_cov=engine.pooled_cov,
         weighted_cov=mom.weighted_cov[0],
     )

@@ -28,18 +28,28 @@ approximation.
 Permutation p-values use the add-one estimator (1 + #{perm >= obs})/(B + 1),
 with one set of label shuffles shared by all components of a test.  Replicate
 ``b``'s shuffle is drawn from an independent stream derived from ``(seed, b)``,
-so p-values depend only on the data, the seed, and B.
+so p-values depend only on the data, the seed, and B.  Degenerate replicates
+(NaN, inf, or an invalid matrix) are dropped from the count; more than 20% of
+them raises :class:`UnstableStatisticError`.
+
+Each statistic has one implementation, on a stack of L labelings
+(``_r_stack``, ``_fa_stack``, ``_pillai_stack``), and ``_perm_p`` is the one
+p-value count.  ``run_tests`` and the scalar helpers share them:
+``r_statistic`` and ``pillai_adapted`` are L=1 views that equal the observed
+statistics of ``run_tests`` bit for bit.  ``ridge=True`` adds
+1e-10 * trace/dim to the diagonal of the AIRM and LERM inputs only; Euc is
+defined on every symmetric matrix and is never ridged.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .distributions import chi2_sf, chi2_upper_quantile, f_sf
-from .engine import DEGENERATE_REL_TOL, MomentStack, StatEngine
+from .engine import MomentStack, StatEngine
 from .errors import DegenerateDataError, SingularMatrixError, UnstableStatisticError
 from .estimators import MomentSet
 from .rng import check_seed, permuted_labels
@@ -47,9 +57,10 @@ from .samples import GroupedMultiSample
 from .spd import (
     SPD_FLOOR_REL,
     SPD_KINDS,
-    spd_distance,
+    as_spd,
     stack_airm_sq,
     stack_matrix_log,
+    stack_ridge,
 )
 
 TEST_NAMES = ("R_Euc", "R_AIRM", "R_LERM", "T_FA", "T_FA_perm", "Pillai", "Pillai_d")
@@ -92,11 +103,9 @@ def _fa_stack(
     """F, U, T matrices (L, S, S) plus validity mask; diagonal = per-space stats."""
     L, J = mom.counts.shape
     F = pooled_cov[None, :, :] - mom.weighted_cov
-    V = mom.moment_var
-    scale = np.maximum(mom.prod_sqmean, 1.0e-300)
-    degen = V <= DEGENERATE_REL_TOL * scale
+    degen = mom.degenerate_var
     valid = ~np.any(degen, axis=1)
-    Vs = np.where(degen, 1.0, V)
+    Vs = np.where(degen, 1.0, mom.moment_var)
     g = mom.gammas
     cov = mom.group_cov
     U = np.zeros_like(F)
@@ -113,119 +122,71 @@ def _fa_stack(
     return F, U, T, valid
 
 
-def _ridge_stack(mats: np.ndarray) -> np.ndarray:
-    dim = mats.shape[-1]
-    eps = 1.0e-10 * np.einsum("...ss->...", mats) / dim
-    return mats + eps[..., None, None] * np.eye(dim)
+def _spd_points(kind: str, mats: np.ndarray, ridge: bool) -> Tuple[np.ndarray, np.ndarray]:
+    """What ``kind`` compares for each matrix of a stack, plus validity: the
+    matrix itself, or its log for LERM.  The ridge repairs AIRM and LERM
+    inputs only."""
+    if ridge and kind != "Euc":
+        mats = stack_ridge(mats)
+    if kind == "LERM":
+        return stack_matrix_log(mats)
+    return mats, np.ones(mats.shape[:-2], dtype=bool)
 
 
-def _pair_weights(gammas: np.ndarray, j: int, jp: int) -> np.ndarray:
-    return gammas[:, j] * gammas[:, jp]
+def _spd_dist(kind: str, X: np.ndarray, Y: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Distances between broadcast stacks of ``_spd_points``, plus validity."""
+    if kind == "AIRM":
+        sq, ok = stack_airm_sq(X, Y)
+        return np.sqrt(sq), ok
+    d = np.linalg.norm(X - Y, axis=(-2, -1))
+    return d, np.ones(d.shape, dtype=bool)
 
 
 def _r_stack(
     mom: MomentStack,
     pooled_cov: np.ndarray,
-    kinds: Iterable[str],
-    targets: Iterable[str],
+    kinds: Sequence[str],
+    targets: Sequence[str],
     *,
     ridge: bool = False,
 ) -> Dict[Tuple[str, str], Tuple[np.ndarray, np.ndarray]]:
-    """(values, validity) per (kind, target) over the labeling stack."""
-    kinds = tuple(kinds)
-    targets = tuple(targets)
-    L, J = mom.counts.shape
-    S = pooled_cov.shape[0]
-    eye = np.eye(S)
+    """(values, validity) per (kind, target) over the labeling stack.
 
-    weighted = mom.weighted_cov
-    group_cov = mom.group_cov
-    need_cor = "cor" in targets
-    if need_cor:
+    ``"mean"`` is d(pooled, weighted); ``"cov"``/``"cor"`` sum
+    gamma_j*gamma_j' d(M_j, M_j') over group pairs j < j'.
+    """
+    L, J = mom.counts.shape
+    j1, j2 = np.triu_indices(J, 1)
+    pair_w = mom.gammas[:, j1] * mom.gammas[:, j2]
+    mats = {"cov": mom.group_cov}
+    if "cor" in targets:
         if mom.group_cor is None:
             raise ValueError("correlation matrices were not computed")
+        eye = np.eye(pooled_cov.shape[0])
+        mats["cor"] = np.where(mom.cor_valid[:, :, None, None], mom.group_cor, eye)
         cor_ok = mom.cor_valid.all(axis=1)
-        group_cor = np.where(mom.cor_valid[:, :, None, None], mom.group_cor, eye)
-    pooled = pooled_cov
-    if ridge:
-        pooled = _ridge_stack(pooled_cov[None])[0]
-        weighted = _ridge_stack(weighted)
-        group_cov = _ridge_stack(group_cov)
-        if need_cor:
-            group_cor = _ridge_stack(group_cor)
 
     out: Dict[Tuple[str, str], Tuple[np.ndarray, np.ndarray]] = {}
-
-    def _target_mats(target):
-        if target == "mean":
-            return None
-        return group_cov if target == "cov" else group_cor
-
-    def _target_valid(target):
-        if target == "cor":
-            return cor_ok.copy()
-        return np.ones(L, dtype=bool)
-
-    if "Euc" in kinds:
+    for kind in kinds:
         for target in targets:
             if target == "mean":
-                vals = np.linalg.norm(pooled[None] - weighted, axis=(1, 2))
+                X, x_ok = _spd_points(kind, pooled_cov[None, None], ridge)
+                Y, y_ok = _spd_points(kind, mom.weighted_cov[:, None], ridge)
+                points_ok = (x_ok & y_ok)[:, 0]
+                weights = np.ones((1, 1))
             else:
-                mats = _target_mats(target)
-                vals = np.zeros(L)
-                for j in range(J):
-                    for jp in range(j + 1, J):
-                        d = np.linalg.norm(mats[:, j] - mats[:, jp], axis=(1, 2))
-                        vals += _pair_weights(mom.gammas, j, jp) * d
-            out[("Euc", target)] = (vals, _target_valid(target))
-
-    if "AIRM" in kinds:
-        for target in targets:
-            if target == "mean":
-                A = np.broadcast_to(pooled, weighted.shape)
-                sq, ok = stack_airm_sq(A, weighted)
-                vals = np.sqrt(sq)
-            else:
-                mats = _target_mats(target)
-                vals = np.zeros(L)
-                ok = _target_valid(target)
-                for j in range(J):
-                    for jp in range(j + 1, J):
-                        sq, pair_ok = stack_airm_sq(mats[:, j], mats[:, jp])
-                        ok &= pair_ok
-                        vals += _pair_weights(mom.gammas, j, jp) * np.sqrt(sq)
+                points, p_ok = _spd_points(kind, mats[target], ridge)
+                X, Y = points[:, j1], points[:, j2]
+                points_ok = p_ok.all(axis=1)
+                weights = pair_w
+            d, d_ok = _spd_dist(kind, X, Y)
+            vals = np.zeros(L)
+            for p in range(weights.shape[1]):
+                vals += weights[:, p] * d[:, p]
+            ok = points_ok & d_ok.all(axis=1)
             if target == "cor":
-                ok = ok & cor_ok
-            out[("AIRM", target)] = (vals, ok)
-
-    if "LERM" in kinds:
-        log_pooled, pooled_ok = stack_matrix_log(pooled[None])
-        log_pooled, pooled_ok = log_pooled[0], bool(pooled_ok[0])
-        logs_cache: Dict[str, Tuple[np.ndarray, np.ndarray]] = {}
-
-        def _logs(target):
-            if target not in logs_cache:
-                mats = _target_mats(target)
-                logs, ok = stack_matrix_log(mats)
-                logs_cache[target] = (logs, ok.all(axis=1))
-            return logs_cache[target]
-
-        for target in targets:
-            if target == "mean":
-                logs_w, ok = stack_matrix_log(weighted)
-                vals = np.linalg.norm(log_pooled[None] - logs_w, axis=(1, 2))
-                ok = ok & pooled_ok
-            else:
-                logs, ok = _logs(target)
-                vals = np.zeros(L)
-                for j in range(J):
-                    for jp in range(j + 1, J):
-                        d = np.linalg.norm(logs[:, j] - logs[:, jp], axis=(1, 2))
-                        vals += _pair_weights(mom.gammas, j, jp) * d
-            if target == "cor":
-                ok = ok & cor_ok
-            out[("LERM", target)] = (vals, ok)
-
+                ok &= cor_ok
+            out[(kind, target)] = (vals, ok)
     return out
 
 
@@ -238,9 +199,10 @@ def _pooled_inverse(pooled_cov: np.ndarray) -> np.ndarray:
     return np.linalg.inv(pooled_cov)
 
 
-def _pillai_stack(mom: MomentStack, pooled_inv: np.ndarray) -> np.ndarray:
+def _pillai_stack(weighted_cov: np.ndarray, pooled_inv: np.ndarray) -> np.ndarray:
+    """S - tr(Sigma_g Sigma_p^-1) for an (L, S, S) stack of weighted covariances."""
     S = pooled_inv.shape[0]
-    return S - np.einsum("lst,ts->l", mom.weighted_cov, pooled_inv)
+    return S - np.einsum("lst,ts->l", weighted_cov, pooled_inv)
 
 
 def _pillai_trace(
@@ -335,29 +297,35 @@ def r_statistic(
         raise ValueError(f"unknown kind {kind!r}; expected one of {SPD_KINDS}")
     if target not in R_TARGETS:
         raise ValueError(f"unknown target {target!r}; expected one of {R_TARGETS}")
-    if gammas is None:
-        gammas = moments.gammas
-    gammas = np.asarray(gammas, dtype=float)
-    if target == "mean":
-        return spd_distance(kind, moments.pooled_cov, moments.weighted_cov, ridge=ridge)
-    mats = moments.group_cov if target == "cov" else moments.group_cor
-    J = mats.shape[0]
+    J = moments.n_groups
+    gammas = np.asarray(moments.gammas if gammas is None else gammas, dtype=float)
     if gammas.shape != (J,):
         raise ValueError(f"gammas must have shape ({J},)")
-    total = 0.0
-    for j in range(J):
-        for jp in range(j + 1, J):
-            total += gammas[j] * gammas[jp] * spd_distance(
-                kind, mats[j], mats[jp], ridge=ridge
-            )
-    return float(total)
+    checked = {
+        "mean": (moments.pooled_cov, moments.weighted_cov),
+        "cov": moments.group_cov,
+        "cor": moments.group_cor,
+    }[target]
+    for mat in checked:
+        as_spd(mat)  # asymmetric, indefinite or non-finite input raises
+    mom = MomentStack(
+        counts=moments.counts[None],
+        gammas=gammas[None],
+        group_cov=moments.group_cov[None],
+        weighted_cov=moments.weighted_cov[None],
+        group_cor=moments.group_cor[None],
+        cor_valid=np.ones((1, J), dtype=bool),
+    )
+    vals, ok = _r_stack(mom, moments.pooled_cov, (kind,), (target,), ridge=ridge)[(kind, target)]
+    if not ok[0]:
+        raise SingularMatrixError(f"R_{target}_{kind}: singular matrix; consider ridge repair")
+    return float(vals[0])
 
 
 def pillai_adapted(moments: MomentSet) -> float:
     """S - tr(Sigma_g Sigma_p^-1); near zero when groups share moments."""
     pooled_inv = _pooled_inverse(moments.pooled_cov)
-    S = moments.n_spaces
-    return float(S - np.trace(moments.weighted_cov @ pooled_inv))
+    return float(_pillai_stack(moments.weighted_cov[None], pooled_inv)[0])
 
 
 def pillai_distance(ms: GroupedMultiSample) -> Tuple[float, float]:
@@ -386,31 +354,22 @@ def permutation_pvalue(
 
     Permutes the group labels B times (object vectors stay intact), counting
     permuted values >= the observed one; returns (1 + count)/(B + 1).
-    Replicates on which ``stat`` reports degeneracy are dropped; more than
-    20% of them aborts with :class:`UnstableStatisticError`.
+    Replicates on which ``stat`` raises :class:`DegenerateDataError` or
+    returns NaN or inf are dropped, as in :func:`run_tests`; more than 20% of
+    them aborts with :class:`UnstableStatisticError`.
     """
     if B < 1:
         raise ValueError(f"need at least one permutation, got B={B}")
     check_seed(seed)
     observed = float(stat(ms))
-    count = 0
-    valid = 0
-    degenerate = 0
+    values = np.empty(B)
     for b in range(B):
         shuffled = ms.with_labels(permuted_labels(ms.labels, seed, b))
         try:
-            value = float(stat(shuffled))
+            values[b] = stat(shuffled)
         except DegenerateDataError:
-            degenerate += 1
-            continue
-        valid += 1
-        if value >= observed:
-            count += 1
-    if degenerate > _MAX_DEGENERATE_FRACTION * B:
-        raise UnstableStatisticError(
-            f"{degenerate} of {B} permutation replicates were degenerate"
-        )
-    return (1 + count) / (valid + 1)
+            values[b] = np.nan
+    return _perm_p(observed, values, np.isfinite(values), "statistic")
 
 
 # -- the seven tests ----------------------------------------------------------
@@ -515,7 +474,7 @@ def run_tests(
             )
     if want_pillai:
         pooled_inv = _pooled_inverse(engine.pooled_cov)
-        pillai_obs = float(_pillai_stack(obs_mom, pooled_inv)[0])
+        pillai_obs = float(_pillai_stack(obs_mom.weighted_cov, pooled_inv)[0])
     if want_pillai_d:
         V = _pillai_trace(obs_mom.counts[0], obs_mom.col_mean[0], obs_mom.centered_cov[0], n)
         _, _, _, pillai_d_p = _pillai_f_approx(V, S, J, n)
@@ -536,7 +495,7 @@ def run_tests(
             _, _, T_perm_mat, _ = _fa_stack(perm_mom, engine.pooled_cov, n)
             T_perm = _fa_values(T_perm_mat, S)
         if want_pillai:
-            pillai_perm = _pillai_stack(perm_mom, pooled_inv)
+            pillai_perm = _pillai_stack(perm_mom.weighted_cov, pooled_inv)
 
     reports = []
     for name in names:

@@ -101,11 +101,16 @@ def as_spd(A: MatrixLike) -> SpdMatrix:
     return A if isinstance(A, SpdMatrix) else SpdMatrix(A)
 
 
+def stack_ridge(mats: np.ndarray) -> np.ndarray:
+    """Add eps*I to each matrix of a stack, eps = 1e-10 * trace / dim."""
+    dim = mats.shape[-1]
+    eps = 1.0e-10 * np.einsum("...ss->...", mats) / dim
+    return mats + eps[..., None, None] * np.eye(dim)
+
+
 def ridge_repair(A: MatrixLike) -> SpdMatrix:
-    """Add eps*I with eps = 1e-10 * trace / dim, making near-singular input usable."""
-    spd = as_spd(A)
-    eps = 1.0e-10 * float(np.trace(spd.entries)) / spd.dim
-    return SpdMatrix(spd.entries + eps * np.eye(spd.dim))
+    """:func:`stack_ridge` of one matrix, making near-singular input usable."""
+    return SpdMatrix(stack_ridge(as_spd(A).entries))
 
 
 def _require_strict_pd(spd: SpdMatrix, what: str) -> None:
@@ -120,8 +125,7 @@ def matrix_log(A: MatrixLike) -> np.ndarray:
     """Principal matrix logarithm U diag(log lambda) U^T of an SPD matrix."""
     spd = as_spd(A)
     _require_strict_pd(spd, "matrix_log")
-    w, v = spd.eigenvalues, spd.eigenvectors
-    return (v * np.log(w)[None, :]) @ v.T
+    return stack_matrix_log(spd.entries)[0]
 
 
 def matrix_exp_sym(A: MatrixLike) -> np.ndarray:
@@ -130,26 +134,11 @@ def matrix_exp_sym(A: MatrixLike) -> np.ndarray:
     return (v * np.exp(w)[None, :]) @ v.T
 
 
-def _airm_sq_from_entries(A: np.ndarray, B: np.ndarray) -> float:
-    # eigenvalues of A^-1 B via L^-1 B L^-T with A = L L^T
-    L = np.linalg.cholesky(A)
-    Y = np.linalg.solve(L, B)
-    C = np.linalg.solve(L, Y.T)
-    C = 0.5 * (C + C.T)
-    w = np.linalg.eigvalsh(C)
-    if w[0] <= SPD_FLOOR_REL * max(float(w[-1]), 0.0):
-        raise SingularMatrixError(
-            f"AIRM: generalized eigenvalue {w[0]:.6e} at or below the singularity floor"
-        )
-    logs = np.log(w)
-    return float(np.dot(logs, logs))
-
-
 def spd_distance(kind: str, A: MatrixLike, B: MatrixLike, *, ridge: bool = False) -> float:
     """Distance between SPD matrices under the Euc, AIRM, or LERM geometry.
 
-    ``ridge=True`` applies :func:`ridge_repair` to both inputs before the
-    strictly-positive-definite geometries.
+    ``ridge=True`` applies :func:`ridge_repair` to both inputs of the
+    strictly-positive-definite geometries, AIRM and LERM; Euc needs none.
     """
     if kind not in SPD_KINDS:
         raise ValueError(f"unknown SPD distance kind {kind!r}; expected one of {SPD_KINDS}")
@@ -162,11 +151,12 @@ def spd_distance(kind: str, A: MatrixLike, B: MatrixLike, *, ridge: bool = False
         sa, sb = ridge_repair(sa), ridge_repair(sb)
     _require_strict_pd(sa, f"{kind} first argument")
     _require_strict_pd(sb, f"{kind} second argument")
-    if kind == "AIRM":
-        return float(np.sqrt(_airm_sq_from_entries(sa.entries, sb.entries)))
-    la = (sa.eigenvectors * np.log(sa.eigenvalues)[None, :]) @ sa.eigenvectors.T
-    lb = (sb.eigenvectors * np.log(sb.eigenvalues)[None, :]) @ sb.eigenvectors.T
-    return float(np.linalg.norm(la - lb))
+    if kind == "LERM":
+        return float(np.linalg.norm(matrix_log(sa) - matrix_log(sb)))
+    sq, valid = stack_airm_sq(sa.entries, sb.entries)
+    if not valid:
+        raise SingularMatrixError("AIRM: generalized eigenvalue at or below the singularity floor")
+    return float(np.sqrt(sq))
 
 
 # -- batched primitives used by the permutation engine -----------------------
@@ -192,7 +182,8 @@ def stack_matrix_log(stack: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def stack_airm_sq(A: np.ndarray, B: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Squared AIRM distances for stacks of SPD matrices, with validity mask."""
+    """Squared AIRM distances for broadcastable stacks of SPD matrices, with
+    validity mask."""
     wa_min, wa_max = stack_min_max_eig(A)
     valid = wa_min > SPD_FLOOR_REL * np.maximum(wa_max, 0.0)
     dim = A.shape[-1]
@@ -203,6 +194,6 @@ def stack_airm_sq(A: np.ndarray, B: np.ndarray) -> Tuple[np.ndarray, np.ndarray]
     C = np.linalg.solve(L, np.swapaxes(Y, -1, -2))
     C = 0.5 * (C + np.swapaxes(C, -1, -2))
     w = np.linalg.eigvalsh(C)
-    valid &= w[..., 0] > SPD_FLOOR_REL * np.maximum(w[..., -1], 0.0)
+    valid = valid & (w[..., 0] > SPD_FLOOR_REL * np.maximum(w[..., -1], 0.0))
     logs = np.log(np.where(w > 0, w, 1.0))
     return np.sum(logs * logs, axis=-1), valid

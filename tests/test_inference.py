@@ -5,9 +5,11 @@ import dataclasses
 import numpy as np
 import pytest
 
-from metricmanova.errors import DegenerateDataError
+from metricmanova import inference
+from metricmanova.errors import DegenerateDataError, UnstableStatisticError
 from metricmanova.estimators import MomentSet, moment_set
 from metricmanova.inference import (
+    R_TARGETS,
     TEST_NAMES,
     _pillai_trace,
     anova_stats_covariance,
@@ -20,6 +22,7 @@ from metricmanova.inference import (
     run_tests,
 )
 from metricmanova.samples import GroupedMultiSample
+from metricmanova.simulation import scenario_generator
 from metricmanova.spaces import distance_matrix_space, euclidean_space
 
 from oracles import (
@@ -277,6 +280,23 @@ class TestRStatistic:
                     r_statistic(kind, target, m2), rel=1e-12
                 )
 
+    def test_equals_run_tests_statistic_bit_for_bit(self):
+        # r_statistic and pillai_adapted are L=1 views of the engine's stacks,
+        # and the ridge repairs AIRM and LERM inputs only, on both paths
+        ms = scenario_generator(1, 2, 2.0, n1=40, n2=40)(3)
+        m = moment_set(ms)
+        for ridge in (False, True):
+            reports = run_tests(["R_Euc", "R_AIRM", "R_LERM"], ms, B=1, seed=0, ridge=ridge)
+            for report in reports:
+                kind = report.test_name[2:]
+                for target, component in zip(R_TARGETS, report.components):
+                    assert r_statistic(kind, target, m, ridge=ridge) == component.statistic
+        pillai = run_test("Pillai", ms, B=1, seed=0).components[0]
+        assert pillai_adapted(m) == pillai.statistic
+        assert run_test("R_Euc", ms, B=19, seed=1, ridge=True) == run_test(
+            "R_Euc", ms, B=19, seed=1
+        )
+
 
 class TestPillai:
     def test_adapted_equal_matrices(self):
@@ -478,6 +498,36 @@ class TestPermutationPvalue:
         with pytest.raises(ValueError):
             permutation_pvalue(lambda m: 1.0, ms, B=0, seed=1)
 
+    @staticmethod
+    def _scripted(observed, replicates):
+        """Returns ``observed``, then each replicate value in turn; None
+        raises DegenerateDataError."""
+        values = iter([observed] + list(replicates))
+
+        def stat(m):
+            value = next(values)
+            if value is None:
+                raise DegenerateDataError("scripted degenerate replicate")
+            return value
+
+        return stat
+
+    def test_degenerate_replicates_abort_above_twenty_percent(self):
+        rng = np.random.default_rng(83)
+        ms = random_two_group_ms(rng, n1=6, n2=6)
+        at_limit = [None, None] + [1.0] * 3 + [0.0] * 5
+        p = permutation_pvalue(self._scripted(0.5, at_limit), ms, B=10, seed=1)
+        assert p == pytest.approx(4.0 / 9.0)
+        with pytest.raises(UnstableStatisticError):
+            permutation_pvalue(self._scripted(0.5, [None] + at_limit[:-1]), ms, B=10, seed=1)
+
+    def test_nan_and_inf_replicates_are_dropped(self):
+        rng = np.random.default_rng(84)
+        ms = random_two_group_ms(rng, n1=6, n2=6)
+        replicates = [1.0, np.nan, np.inf, 0.0, 1.0] + [0.0] * 5
+        p = permutation_pvalue(self._scripted(0.5, replicates), ms, B=10, seed=1)
+        assert p == pytest.approx(3.0 / 9.0)
+
 
 class TestRunTest:
     def test_unknown_name(self):
@@ -573,3 +623,28 @@ class TestRunTest:
         for c in report.components:
             assert c.threshold == pytest.approx(expected)
         assert report.permutations_used == 0
+
+    def test_degenerate_replicates_abort_above_twenty_percent(self, monkeypatch):
+        rng = np.random.default_rng(85)
+        ms = random_two_group_ms(rng)
+        B = 10
+        observed = run_test("Pillai", ms, B=B, seed=7).components[0].statistic
+        real = inference._pillai_stack
+        kept = {}
+
+        def make_degenerate(n_bad):
+            def pillai_stack(weighted_cov, pooled_inv):
+                values = real(weighted_cov, pooled_inv)
+                if len(values) == B:
+                    values[:n_bad] = np.nan
+                    kept["values"] = values[n_bad:]
+                return values
+
+            return pillai_stack
+
+        monkeypatch.setattr(inference, "_pillai_stack", make_degenerate(2))
+        p = run_test("Pillai", ms, B=B, seed=7).components[0].p_value
+        assert p == (1 + np.sum(kept["values"] >= observed)) / (B - 2 + 1)
+        monkeypatch.setattr(inference, "_pillai_stack", make_degenerate(3))
+        with pytest.raises(UnstableStatisticError):
+            run_test("Pillai", ms, B=B, seed=7)

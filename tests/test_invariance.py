@@ -1,0 +1,78 @@
+"""Property tests of the invariances the R statistics inherit from their
+geometry, run through the engine that both ``run_tests`` and the scalar
+helpers use.
+
+* Scaling one space's distances by c > 0 maps every covariance matrix M to
+  D M D with D = diag(1, .., c, .., 1).  AIRM is invariant under that
+  congruence (Pennec et al. 2006, IJCV), and correlation matrices do not
+  change at all.
+* Group ids only name the groups, so renaming them changes no statistic.
+* The add-one p-value (1 + count)/(B + 1) is never 0 (Phipson & Smyth 2010).
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from metricmanova.inference import TEST_NAMES, run_tests
+from metricmanova.samples import GroupedMultiSample
+from metricmanova.spaces import euclidean_space
+
+R_TESTS = ["R_Euc", "R_AIRM", "R_LERM"]
+B = 9
+
+few = settings(derandomize=True, max_examples=8, deadline=None)
+seeds = st.integers(min_value=0, max_value=2**32 - 1)
+group_counts = st.integers(min_value=2, max_value=3)
+
+
+def _points(seed, J):
+    """Two Euclidean spaces (1-D and 2-D) for J groups of 8 to 12 points."""
+    rng = np.random.default_rng(seed)
+    sizes = rng.integers(8, 13, size=J)
+    labels = np.repeat(np.arange(J), sizes)
+    shift = labels[:, None] * rng.uniform(0.0, 1.0)
+    x = rng.normal(size=(len(labels), 1)) + shift
+    y = rng.normal(size=(len(labels), 2)) * (1.0 + 0.5 * shift)
+    return [x, y], labels
+
+
+def _statistics(coords, labels, names=R_TESTS):
+    ms = GroupedMultiSample(
+        [euclidean_space(f"s{s}", c) for s, c in enumerate(coords)], labels
+    )
+    reports = run_tests(names, ms, B=B, seed=3)
+    return {(r.test_name, c.name): c for r in reports for c in r.components}
+
+
+@few
+@given(seed=seeds, J=group_counts, space=st.integers(0, 1), c=st.floats(0.1, 10.0))
+def test_scaling_one_space_keeps_airm_and_correlation_components(seed, J, space, c):
+    coords, labels = _points(seed, J)
+    scaled = list(coords)
+    scaled[space] = c * coords[space]
+    before = _statistics(coords, labels)
+    after = _statistics(scaled, labels)
+    for key, component in before.items():
+        if key[0] == "R_AIRM" or component.name.startswith("R_cor"):
+            assert after[key].statistic == pytest.approx(component.statistic, rel=1e-9)
+
+
+@few
+@given(seed=seeds, J=group_counts, ids=st.lists(st.integers(-50, 50), min_size=3, max_size=3, unique=True))
+def test_renaming_group_ids_keeps_every_r_statistic(seed, J, ids):
+    coords, labels = _points(seed, J)
+    renamed = np.asarray(ids)[labels]
+    before = _statistics(coords, labels)
+    after = _statistics(coords, renamed)
+    for key, component in before.items():
+        assert after[key].statistic == pytest.approx(component.statistic, rel=1e-9)
+
+
+@few
+@given(seed=seeds, J=group_counts)
+def test_add_one_p_values_are_positive(seed, J):
+    coords, labels = _points(seed, J)
+    for component in _statistics(coords, labels, TEST_NAMES).values():
+        assert 0.0 < component.p_value <= 1.0
