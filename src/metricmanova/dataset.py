@@ -185,6 +185,10 @@ def loads_msd(text: str) -> GroupedMultiSample:
             )
             spaces.append(laplacian_space(sid, rows.reshape(n, m, m)))
         elif kind == "distances":
+            if len(rd.lines) - rd.pos < n - 1:
+                raise DataError(
+                    f"unexpected end of file: space {sid} needs {n - 1} distance rows"
+                )
             mat = np.zeros((n, n), dtype=float)
             for i in range(1, n):
                 row = _floats(rd.next("distance row"), i, f"space {sid} row {i + 1}")

@@ -2,11 +2,16 @@
 
 Permutation tests recompute per-group Fréchet means, distance profiles, and
 moment matrices for hundreds of label shuffles.  This module does that work
-for a whole stack of labelings at once: spaces whose metric is an L2
-isometry in some coordinate embedding (Gaussian-W2, Euclidean-L2, Laplacian-
-Frobenius) are handled with batched array arithmetic, everything else falls
-back to a per-labeling loop over groups.  The pooled mean does not depend on
-the labels, so pooled quantities are computed once per engine.
+for a whole stack of labelings at once, through one (labelings, groups, n)
+membership mask.  A group sum ``masks @ A`` gives both kinds of mean: with the
+coordinates of an L2-embedded space (Gaussian-W2, Euclidean-L2, Laplacian-
+Frobenius) as ``A`` it gives the centroids, and with the squared distance
+matrix of any other space it gives each candidate's objective, whose argmin
+inside the group is the medoid.  Only spaces with a user-supplied exact-mean
+solver keep a loop over labelings and groups.  ``moments`` walks the
+labelings in chunks sized to bound the largest temporary.  The pooled mean
+does not depend on the labels, so pooled quantities are computed once per
+engine.
 
 Everything here is deterministic: summations run in fixed index order and no
 state is mutated after construction.
@@ -26,7 +31,12 @@ DEGENERATE_REL_TOL = 1.0e-10
 # a profile column variance below this relative level has no correlation
 COLUMN_VAR_REL_TOL = 1.0e-14
 
-_CHUNK_BUDGET = 4_000_000  # float64 elements per (chunk, n, S, S) temporary
+_CHUNK_BUDGET = 4_000_000  # float64 elements per chunk's widest temporary
+
+
+def _group_masks(codes: np.ndarray, J: int) -> np.ndarray:
+    """(L, J, n) float membership masks of an (L, n) stack of group codes."""
+    return (codes[:, None, :] == np.arange(J)[None, :, None]).astype(float)
 
 
 @dataclass(frozen=True)
@@ -77,6 +87,9 @@ class StatEngine:
                 cols.append(sp.distances_to(res.mean))
         self.pooled_profile = np.column_stack(cols)
         self.pooled_cov = self.pooled_profile.T @ self.pooled_profile / self.n
+        self._embeddings = [
+            sp._fast.embedding if sp._fast is not None else None for sp in ms.spaces
+        ]
 
     # -- distance profiles ----------------------------------------------------
 
@@ -84,49 +97,31 @@ class StatEngine:
         """(L, n, S) distances from each observation to its group mean."""
         codes = np.asarray(codes, dtype=np.int64)
         L, n = codes.shape
+        masks = _group_masks(codes, self.J)
+        counts = masks.sum(axis=2)
+        rows = np.arange(L)[:, None]
         out = np.empty((L, n, self.S), dtype=float)
-        for s, sp in enumerate(self.ms.spaces):
-            fast = sp._fast
-            if fast is not None and fast.embedding is not None:
-                out[:, :, s] = self._embedded_profile(fast.embedding, codes)
+        for s, (sp, X) in enumerate(zip(self.ms.spaces, self._embeddings)):
+            if X is not None:
+                means = (masks @ X) / counts[:, :, None]
+                diff = X[None, :, :] - means[rows, codes]
+                out[:, :, s] = np.sqrt(np.einsum("lnk,lnk->ln", diff, diff))
+            elif sp.has_exact_mean:
+                for l in range(L):
+                    for j in range(self.J):
+                        idx = np.flatnonzero(codes[l] == j)
+                        out[l, idx, s] = sp.distances_to(sp.mean_of(idx), idx)
             else:
-                out[:, :, s] = self._generic_profile(sp, codes)
-        return out
-
-    def _embedded_profile(self, X: np.ndarray, codes: np.ndarray) -> np.ndarray:
-        L, n = codes.shape
-        k = X.shape[1]
-        out = np.empty((L, n), dtype=float)
-        chunk = max(1, _CHUNK_BUDGET // max(1, n * k))
-        group_axis = np.arange(self.J)
-        for start in range(0, L, chunk):
-            c = codes[start : start + chunk]
-            C = c.shape[0]
-            masks = (c[:, None, :] == group_axis[None, :, None]).astype(float)
-            counts = masks.sum(axis=2)
-            means = (masks @ X) / counts[:, :, None]
-            mean_rows = means[np.arange(C)[:, None], c, :]
-            diff = X[None, :, :] - mean_rows
-            out[start : start + C] = np.sqrt(np.einsum("cnk,cnk->cn", diff, diff))
-        return out
-
-    def _generic_profile(self, sp, codes: np.ndarray) -> np.ndarray:
-        L, n = codes.shape
-        out = np.empty((L, n), dtype=float)
-        use_solver = sp.has_exact_mean
-        if not use_solver:
-            dist = sp.pairwise()
-            dist_sq = dist * dist
-        for l in range(L):
-            for j in range(self.J):
-                idx = np.flatnonzero(codes[l] == j)
-                if use_solver:
-                    point = sp.mean_of(idx)
-                    out[l, idx] = sp.distances_to(point, idx)
-                else:
-                    sub = dist_sq[np.ix_(idx, idx)]
-                    medoid = idx[int(np.argmin(sub.mean(axis=1)))]
-                    out[l, idx] = dist[idx, medoid]
+                # medoid: the member with the least group sum of squared
+                # distances, lowest index on ties.  Clipping overflowed
+                # squares keeps 0 * inf out of non-members' terms and every
+                # member below the +inf that non-members get.
+                dist = sp.pairwise()
+                big = np.finfo(float).max
+                sums = np.minimum(masks @ np.minimum(dist * dist, big), big)
+                sums[masks == 0.0] = np.inf
+                medoids = np.argmin(sums, axis=2)
+                out[:, :, s] = dist[np.arange(n), medoids[rows, codes]]
         return out
 
     # -- moments ----------------------------------------------------------------
@@ -137,12 +132,10 @@ class StatEngine:
         *,
         want_cor: bool = True,
         want_moment_var: bool = True,
-        profiles: Optional[np.ndarray] = None,
     ) -> MomentStack:
         codes = np.asarray(codes, dtype=np.int64)
         L, n = codes.shape
         S, J = self.S, self.J
-        prof = self.group_profiles(codes) if profiles is None else profiles
 
         counts = np.empty((L, J), dtype=float)
         col_mean = np.empty((L, J, S), dtype=float)
@@ -150,13 +143,13 @@ class StatEngine:
         moment_var = np.empty((L, J, S, S), dtype=float) if want_moment_var else None
         prod_sqmean = np.empty((L, J, S, S), dtype=float) if want_moment_var else None
 
-        chunk = max(1, _CHUNK_BUDGET // max(1, n * S * S))
-        group_axis = np.arange(J)
+        widths = [S * S, J] + [X.shape[1] for X in self._embeddings if X is not None]
+        chunk = max(1, _CHUNK_BUDGET // (n * max(widths)))
         for start in range(0, L, chunk):
             sl = slice(start, min(start + chunk, L))
             c = codes[sl]
-            p = prof[sl]
-            masks = (c[:, None, :] == group_axis[None, :, None]).astype(float)
+            p = self.group_profiles(c)
+            masks = _group_masks(c, J)
             cnt = masks.sum(axis=2)
             counts[sl] = cnt
             col_mean[sl] = np.einsum("cjn,cns->cjs", masks, p) / cnt[:, :, None]

@@ -30,7 +30,8 @@ with one set of label shuffles shared by all components of a test.  Replicate
 ``b``'s shuffle is drawn from an independent stream derived from ``(seed, b)``,
 so p-values depend only on the data, the seed, and B.  Degenerate replicates
 (NaN, inf, or an invalid matrix) are dropped from the count; more than 20% of
-them raises :class:`UnstableStatisticError`.
+them raises :class:`UnstableStatisticError`.  A non-finite observed statistic
+raises :class:`DegenerateDataError`, since no count can make it significant.
 
 Each statistic has one implementation, on a stack of L labelings
 (``_r_stack``, ``_fa_stack``, ``_pillai_stack``), and ``_perm_p`` is the one
@@ -356,7 +357,8 @@ def permutation_pvalue(
     permuted values >= the observed one; returns (1 + count)/(B + 1).
     Replicates on which ``stat`` raises :class:`DegenerateDataError` or
     returns NaN or inf are dropped, as in :func:`run_tests`; more than 20% of
-    them aborts with :class:`UnstableStatisticError`.
+    them aborts with :class:`UnstableStatisticError`.  A non-finite observed
+    value raises :class:`DegenerateDataError`.
     """
     if B < 1:
         raise ValueError(f"need at least one permutation, got B={B}")
@@ -376,6 +378,8 @@ def permutation_pvalue(
 
 
 def _perm_p(observed: float, values: np.ndarray, valid: np.ndarray, name: str) -> float:
+    if not np.isfinite(observed):
+        raise DegenerateDataError(f"component {name}: observed statistic {observed!r}")
     valid = valid & np.isfinite(values)
     n_valid = int(valid.sum())
     B = values.shape[0]

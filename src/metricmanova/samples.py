@@ -31,15 +31,15 @@ class _FastOps:
 
     ``embedding`` holds one row per observation in coordinates where the
     space's metric coincides with the Euclidean L2 distance; group means and
-    distances then reduce to array arithmetic.  ``pairwise_fn``/``batch_dist``
-    cover vectorizable kinds whose metric is not an L2 embedding (L1 on R^k).
+    distances then reduce to array arithmetic.  ``pairwise_fn`` builds the
+    distance matrix of a vectorizable kind whose metric is not an L2
+    embedding (L1 on R^k); such a space takes medoid means from that matrix.
     """
 
     embedding: Optional[np.ndarray] = None
     row_to_point: Optional[Callable[[np.ndarray], Any]] = None
     point_to_row: Optional[Callable[[Any], np.ndarray]] = None
     pairwise_fn: Optional[Callable[[], np.ndarray]] = None
-    batch_dist: Optional[Callable[[np.ndarray, Any], np.ndarray]] = None
 
 
 class SpaceSample:
@@ -169,8 +169,6 @@ class SpaceSample:
             row = self._fast.point_to_row(point)
             diff = self._fast.embedding[idx] - row[None, :]
             return np.sqrt(np.sum(diff * diff, axis=1))
-        if self._fast is not None and self._fast.batch_dist is not None:
-            return self._fast.batch_dist(idx, point)
         out = np.empty(len(idx), dtype=float)
         for k, i in enumerate(idx):
             out[k] = float(self.distance(self._points[i], point))

@@ -223,14 +223,11 @@ def euclidean_space(space_id: str, points, norm: str = "L2") -> SpaceSample:
         )
         return SpaceSample(space_id, distance=metric, kind=kind, _fast=fast)
 
-    # L1 in more than one dimension: no exact solver, but vectorized distances
+    # L1 in more than one dimension: no exact solver, but a vectorized matrix
     def _pairwise_l1() -> np.ndarray:
         return np.abs(arr[:, None, :] - arr[None, :, :]).sum(axis=2)
 
-    def _batch_l1(idx: np.ndarray, point: EuclideanPoint) -> np.ndarray:
-        return np.abs(arr[idx] - point.array[None, :]).sum(axis=1)
-
-    fast = _FastOps(pairwise_fn=_pairwise_l1, batch_dist=_batch_l1)
+    fast = _FastOps(pairwise_fn=_pairwise_l1)
     return SpaceSample(
         space_id,
         points=[EuclideanPoint(row) for row in arr],

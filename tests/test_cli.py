@@ -1,6 +1,12 @@
 """Tests for the command-line interface."""
 
 import json
+import os
+import tempfile
+
+import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from metricmanova.cli import demo_correlation_table, main
 
@@ -149,6 +155,16 @@ class TestExitCodes:
             "test", "--input", str(bad), "--tests", "T_FA", "--seed", "1",
         ]) == 3
 
+    def test_truncated_distance_block(self, tmp_path):
+        # the header promises 60000 observations but one distance row follows;
+        # the reader must say so before allocating a 60000 x 60000 matrix
+        n = 60000
+        lines = ["msd 1", f"observations {n}", "spaces 1",
+                 "labels " + " ".join(["1", "2"] * (n // 2)), "space X distances", "1.0"]
+        bad = tmp_path / "truncated.msd"
+        bad.write_text("\n".join(lines) + "\n")
+        assert run_cli(["test", "--input", str(bad), "--seed", "1"]) == 2
+
     def test_invalid_alpha_is_data_error(self, tmp_path):
         data = tmp_path / "d.msd"
         run_cli([
@@ -158,3 +174,54 @@ class TestExitCodes:
         assert run_cli([
             "test", "--input", str(data), "--alpha", "2.0", "--seed", "1",
         ]) == 2
+
+
+def _fuzz_base_lines():
+    """A small valid file: 8 observations, a Gaussian and a distance block."""
+    rng = np.random.default_rng(12)
+    n = 8
+    pts = rng.normal(size=(n, 2))
+    dist = np.abs(pts[:, None, :] - pts[None, :, :]).sum(axis=2)
+    lines = ["msd 1", f"observations {n}", "spaces 2", "labels a a a a b b b b",
+             "space G gaussian"]
+    gauss = np.column_stack([rng.normal(size=n), rng.uniform(0.5, 2.0, n)])
+    lines += [f"{float(mu)!r} {float(sigma)!r}" for mu, sigma in gauss]
+    lines.append("space D distances")
+    lines += [" ".join(repr(float(d)) for d in dist[i, :i]) for i in range(1, n)]
+    return lines
+
+
+class TestFuzzedInput:
+    BASE = _fuzz_base_lines()
+
+    @settings(derandomize=True, max_examples=50, deadline=None)
+    @given(
+        cut=st.integers(min_value=0, max_value=len(BASE)),
+        line=st.integers(min_value=0, max_value=len(BASE) - 1),
+        token=st.integers(min_value=0, max_value=7),
+        text=st.none()
+        | st.text(st.characters(blacklist_categories=("Cs",)), max_size=8)
+        | st.floats().map(repr)
+        | st.integers(min_value=-3, max_value=12).map(str),
+    )
+    @example(cut=len(BASE), line=0, token=0, text=None)
+    def test_only_documented_exit_codes(self, cut, line, token, text):
+        """The file truncated after ``cut`` lines (``text`` None), or whole
+        with one token of ``line`` replaced by ``text``, exits 0, 2 or 3 and
+        never raises."""
+        lines = list(self.BASE)
+        if text is None:
+            del lines[cut:]
+        else:
+            words = lines[line].split()
+            words[token % len(words)] = text
+            lines[line] = " ".join(words)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "fuzzed.msd")
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write("\n".join(lines) + "\n")
+            code = run_cli(["test", "--input", path, "--B", "9", "--seed", "1",
+                            "--out", os.path.join(tmp, "out.json")])
+        assert code in (0, 2, 3)
+        if len(lines) == len(self.BASE) and text is None:
+            assert code == 0

@@ -528,6 +528,14 @@ class TestPermutationPvalue:
         p = permutation_pvalue(self._scripted(0.5, replicates), ms, B=10, seed=1)
         assert p == pytest.approx(3.0 / 9.0)
 
+    def test_non_finite_observed_statistic_raises(self):
+        # NaN on the observed labels would otherwise count no replicate as
+        # exceeding it and report the most significant p-value, 1/(B + 1)
+        rng = np.random.default_rng(85)
+        ms = random_two_group_ms(rng, n1=6, n2=6)
+        with pytest.raises(DegenerateDataError, match="observed"):
+            permutation_pvalue(self._scripted(np.nan, [1.0] * 19), ms, B=19, seed=1)
+
 
 class TestRunTest:
     def test_unknown_name(self):

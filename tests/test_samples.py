@@ -3,7 +3,10 @@
 import numpy as np
 import pytest
 
+from metricmanova import engine
+from metricmanova.engine import StatEngine
 from metricmanova.errors import DataError
+from metricmanova.rng import permuted_labels
 from metricmanova.samples import (
     DistanceProfile,
     GroupedMultiSample,
@@ -18,6 +21,8 @@ from metricmanova.spaces import (
     euclidean_space,
     gaussian_space,
 )
+
+from oracles import oracle_medoid
 
 
 def brute_force_medoid(dist, idx):
@@ -210,3 +215,75 @@ class TestDistanceProfile:
     def test_negative_values_rejected(self):
         with pytest.raises(DataError):
             DistanceProfile(values=np.array([[-1.0]]), mean_mode="pooled")
+
+
+class TestGroupProfileKernel:
+    """``StatEngine.group_profiles`` and ``moments`` on 40 permuted labelings
+    of J=3 groups, one space of each kind: medoid, centroid, custom solver."""
+
+    L = 40
+
+    @staticmethod
+    def _multisample(far=1.0):
+        rng = np.random.default_rng(41)
+        labels = np.repeat([0, 1, 2], [7, 8, 9])
+        n = len(labels)
+        # small integers make exact ties among medoid objectives common;
+        # ``far`` moves observation 5 away from all others
+        upper = np.triu(rng.integers(1, 4, size=(n, n)).astype(float), 1)
+        upper[5, :] *= far
+        upper[:, 5] *= far
+        x = rng.normal(size=n)
+        spaces = [
+            distance_matrix_space("D", upper + upper.T),
+            euclidean_space("E", rng.normal(size=(n, 3))),
+            custom_space(
+                "C", list(x), lambda a, b: abs(a - b),
+                exact_mean=lambda pts, w: float(np.mean(pts)),
+            ),
+            euclidean_space("X", x[:, None]),
+        ]
+        return GroupedMultiSample(spaces, labels)
+
+    def _stack(self, ms):
+        return np.stack([permuted_labels(ms.codes, 5, b) for b in range(self.L)])
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    @pytest.mark.parametrize("far", [1.0, 1.0e200])
+    def test_medoid_profiles_match_oracle_with_ties(self, far):
+        # at far=1e200 the squared distances to observation 5 overflow to inf
+        ms = self._multisample(far)
+        codes = self._stack(ms)
+        prof = StatEngine(ms).group_profiles(codes)
+        dist = ms.spaces[0].pairwise()
+        ties = 0
+        for l in range(self.L):
+            for j in range(3):
+                idx = np.flatnonzero(codes[l] == j)
+                objectives = (dist[np.ix_(idx, idx)] ** 2).sum(axis=1)
+                ties += int(np.sum(objectives == objectives.min()) > 1)
+                assert np.array_equal(prof[l, idx, 0], dist[idx, oracle_medoid(dist, idx)])
+        assert ties > 0
+
+    def test_custom_solver_agrees_with_embedded_space(self):
+        ms = self._multisample()
+        prof = StatEngine(ms).group_profiles(self._stack(ms))
+        np.testing.assert_allclose(prof[:, :, 2], prof[:, :, 3], rtol=1e-12, atol=1e-12)
+
+    def test_one_labeling_per_chunk_is_bit_identical(self, monkeypatch):
+        ms = self._multisample()
+        codes = self._stack(ms)
+        whole = StatEngine(ms).moments(codes)
+        monkeypatch.setattr(engine, "_CHUNK_BUDGET", 1)
+        chunked = StatEngine(ms).moments(codes)
+        for name, value in vars(whole).items():
+            np.testing.assert_array_equal(getattr(chunked, name), value, err_msg=name)
+
+    def test_stack_row_equals_single_labeling(self):
+        ms = self._multisample()
+        eng = StatEngine(ms)
+        codes = self._stack(ms)
+        assert np.array_equal(eng.group_profiles(codes)[0], eng.group_profiles(codes[:1])[0])
+        stacked, single = eng.moments(codes), eng.moments(codes[:1])
+        for name, value in vars(single).items():
+            np.testing.assert_array_equal(getattr(stacked, name)[:1], value, err_msg=name)

@@ -168,3 +168,4 @@ class TestExactMeanSolvers:
         res = frechet_mean(space)
         assert res.solver == "medoid"
         assert res.index == 1
+        assert np.array_equal(space.distances_to(space.point(2)), space.pairwise()[:, 2])
