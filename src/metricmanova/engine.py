@@ -9,8 +9,12 @@ Frobenius) as ``A`` it gives the centroids, and with the squared distance
 matrix of any other space it gives each candidate's objective, whose argmin
 inside the group is the medoid.  Only spaces with a user-supplied exact-mean
 solver keep a loop over labelings and groups.  ``moments`` walks the
-labelings in chunks sized to bound the largest temporary.  The pooled mean
-does not depend on the labels, so pooled quantities are computed once per
+labelings in chunks small enough that each chunk's temporaries stay
+resident in a core's L2 cache; that bounds memory too, but the point is
+speed: fresh multi-megabyte temporaries cost more in page faults and memory
+traffic than their arithmetic.  A labeling's results never depend on the
+chunk it falls in.  The pooled mean, and the clipped squared distances of
+medoid spaces, do not depend on the labels, so they are computed once per
 engine.
 
 Everything here is deterministic: summations run in fixed index order and no
@@ -31,7 +35,12 @@ DEGENERATE_REL_TOL = 1.0e-10
 # a profile column variance below this relative level has no correlation
 COLUMN_VAR_REL_TOL = 1.0e-14
 
-_CHUNK_BUDGET = 4_000_000  # float64 elements per chunk's widest temporary
+# float64 elements in a chunk's widest temporary.  128k elements (1 MiB)
+# keep a chunk's working set near a 2 MiB per-core L2 cache.  Timing
+# ``moments`` on the perfbench inputs (2-core x86 VM, 2 MiB L2 per core),
+# 64k to 1M elements ran alike; 4M (32 MiB) ran the k=100 stacks 1.25-1.5x
+# slower, and 32k fell to one k=100 labeling per chunk, 1.6x slower.
+_CHUNK_BUDGET = 131_072
 
 
 def _group_masks(codes: np.ndarray, J: int) -> np.ndarray:
@@ -90,6 +99,14 @@ class StatEngine:
         self._embeddings = [
             sp._fast.embedding if sp._fast is not None else None for sp in ms.spaces
         ]
+        # medoid spaces: squared distances, clipped at the largest float so
+        # that an overflowed square never meets a zero mask entry (0 * inf)
+        big = np.finfo(float).max
+        self._squares = [
+            None if X is not None or sp.has_exact_mean
+            else np.minimum(np.square(sp.pairwise()), big)
+            for sp, X in zip(ms.spaces, self._embeddings)
+        ]
 
     # -- distance profiles ----------------------------------------------------
 
@@ -104,7 +121,8 @@ class StatEngine:
         for s, (sp, X) in enumerate(zip(self.ms.spaces, self._embeddings)):
             if X is not None:
                 means = (masks @ X) / counts[:, :, None]
-                diff = X[None, :, :] - means[rows, codes]
+                diff = means[rows, codes]
+                np.subtract(X[None, :, :], diff, out=diff)
                 out[:, :, s] = np.sqrt(np.einsum("lnk,lnk->ln", diff, diff))
             elif sp.has_exact_mean:
                 for l in range(L):
@@ -113,15 +131,12 @@ class StatEngine:
                         out[l, idx, s] = sp.distances_to(sp.mean_of(idx), idx)
             else:
                 # medoid: the member with the least group sum of squared
-                # distances, lowest index on ties.  Clipping overflowed
-                # squares keeps 0 * inf out of non-members' terms and every
-                # member below the +inf that non-members get.
-                dist = sp.pairwise()
-                big = np.finfo(float).max
-                sums = np.minimum(masks @ np.minimum(dist * dist, big), big)
+                # distances, lowest index on ties.  Clipping the sums keeps
+                # every member below the +inf that non-members get.
+                sums = np.minimum(masks @ self._squares[s], np.finfo(float).max)
                 sums[masks == 0.0] = np.inf
                 medoids = np.argmin(sums, axis=2)
-                out[:, :, s] = dist[np.arange(n), medoids[rows, codes]]
+                out[:, :, s] = sp.pairwise()[np.arange(n), medoids[rows, codes]]
         return out
 
     # -- moments ----------------------------------------------------------------

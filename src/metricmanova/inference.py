@@ -91,7 +91,7 @@ class TestReport:
     components: Tuple[ComponentResult, ...]
     alpha: float
     global_reject: bool
-    permutations_used: int
+    permutations_used: int  # fewest valid replicates of any component; 0 if none permuted
     seed: Optional[int]
 
 
@@ -371,13 +371,16 @@ def permutation_pvalue(
             values[b] = stat(shuffled)
         except DegenerateDataError:
             values[b] = np.nan
-    return _perm_p(observed, values, np.isfinite(values), "statistic")
+    return _perm_p(observed, values, np.isfinite(values), "statistic")[0]
 
 
 # -- the seven tests ----------------------------------------------------------
 
 
-def _perm_p(observed: float, values: np.ndarray, valid: np.ndarray, name: str) -> float:
+def _perm_p(
+    observed: float, values: np.ndarray, valid: np.ndarray, name: str
+) -> Tuple[float, int]:
+    """Add-one p-value over the valid finite replicates, and their count."""
     if not np.isfinite(observed):
         raise DegenerateDataError(f"component {name}: observed statistic {observed!r}")
     valid = valid & np.isfinite(values)
@@ -388,7 +391,7 @@ def _perm_p(observed: float, values: np.ndarray, valid: np.ndarray, name: str) -
             f"component {name}: {B - n_valid} of {B} permutation replicates degenerate"
         )
     count = int(np.sum(values[valid] >= observed))
-    return (1 + count) / (n_valid + 1)
+    return (1 + count) / (n_valid + 1), n_valid
 
 
 def _fa_component_names(S: int) -> list:
@@ -504,14 +507,15 @@ def run_tests(
     reports = []
     for name in names:
         components = []
-        used = B if name in _PERM_TESTS else 0
+        used = []  # valid replicates per permutation-calibrated component
         if name.startswith("R_"):
             kind = name[2:]
             level = alpha / 3.0
             for target in R_TARGETS:
                 vals, ok = perm_r[(kind, target)]
                 comp_name = f"R_{target}_{kind}" if target != "mean" else f"R_mu_{kind}"
-                p = _perm_p(obs_r[(kind, target)], vals, ok, comp_name)
+                p, n_valid = _perm_p(obs_r[(kind, target)], vals, ok, comp_name)
+                used.append(n_valid)
                 components.append(
                     ComponentResult(
                         name=comp_name,
@@ -539,7 +543,10 @@ def run_tests(
         elif name == "T_FA_perm":
             level = 2.0 * alpha / (S * (S + 1))
             for k, comp_name in enumerate(_fa_component_names(S)):
-                p = _perm_p(float(T_obs[k]), T_perm[:, k], np.isfinite(T_perm[:, k]), comp_name)
+                p, n_valid = _perm_p(
+                    float(T_obs[k]), T_perm[:, k], np.isfinite(T_perm[:, k]), comp_name
+                )
+                used.append(n_valid)
                 components.append(
                     ComponentResult(
                         name=comp_name,
@@ -551,7 +558,8 @@ def run_tests(
                     )
                 )
         elif name == "Pillai":
-            p = _perm_p(pillai_obs, pillai_perm, np.isfinite(pillai_perm), "pillai")
+            p, n_valid = _perm_p(pillai_obs, pillai_perm, np.isfinite(pillai_perm), "pillai")
+            used.append(n_valid)
             components.append(
                 ComponentResult(
                     name="pillai",
@@ -579,7 +587,7 @@ def run_tests(
                 components=tuple(components),
                 alpha=alpha,
                 global_reject=any(c.reject for c in components),
-                permutations_used=used,
+                permutations_used=min(used, default=0),
                 seed=seed,
             )
         )

@@ -41,6 +41,8 @@ from test_inference import (
     toy8_ms,
 )
 
+pytestmark = pytest.mark.acceptance
+
 ALL_TESTS = list(mm.TEST_NAMES)
 
 TABLE3_SCENARIO1 = {

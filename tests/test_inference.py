@@ -636,7 +636,9 @@ class TestRunTest:
         rng = np.random.default_rng(85)
         ms = random_two_group_ms(rng)
         B = 10
-        observed = run_test("Pillai", ms, B=B, seed=7).components[0].statistic
+        clean = run_test("Pillai", ms, B=B, seed=7)
+        assert clean.permutations_used == B
+        observed = clean.components[0].statistic
         real = inference._pillai_stack
         kept = {}
 
@@ -651,8 +653,10 @@ class TestRunTest:
             return pillai_stack
 
         monkeypatch.setattr(inference, "_pillai_stack", make_degenerate(2))
-        p = run_test("Pillai", ms, B=B, seed=7).components[0].p_value
+        report = run_test("Pillai", ms, B=B, seed=7)
+        p = report.components[0].p_value
         assert p == (1 + np.sum(kept["values"] >= observed)) / (B - 2 + 1)
+        assert report.permutations_used == B - 2
         monkeypatch.setattr(inference, "_pillai_stack", make_degenerate(3))
         with pytest.raises(UnstableStatisticError):
             run_test("Pillai", ms, B=B, seed=7)

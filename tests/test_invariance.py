@@ -7,6 +7,9 @@ helpers use.
   congruence (Pennec et al. 2006, IJCV), and correlation matrices do not
   change at all.
 * Group ids only name the groups, so renaming them changes no statistic.
+* Euclidean distances do not see a translation or rotation of the
+  coordinates, so neither does any statistic of the seven tests; the
+  rounding of far-off coordinates may move a permutation count by a tie.
 * The add-one p-value (1 + count)/(B + 1) is never 0 (Phipson & Smyth 2010).
 """
 
@@ -76,3 +79,21 @@ def test_add_one_p_values_are_positive(seed, J):
     coords, labels = _points(seed, J)
     for component in _statistics(coords, labels, TEST_NAMES).values():
         assert 0.0 < component.p_value <= 1.0
+
+
+@few
+@given(seed=seeds, J=group_counts, offset=st.floats(0.0, 1.0e3))
+def test_translating_and_rotating_coordinates_keeps_every_test(seed, J, offset):
+    coords, labels = _points(seed, J)
+    rng = np.random.default_rng(seed)
+    moved = []
+    for c in coords:
+        q, r = np.linalg.qr(rng.normal(size=(c.shape[1], c.shape[1])))
+        rotation = q * np.sign(np.diag(r))
+        moved.append(c @ rotation + offset * rng.uniform(-1.0, 1.0, size=c.shape[1]))
+    before = _statistics(coords, labels, TEST_NAMES)
+    after = _statistics(moved, labels, TEST_NAMES)
+    for key, component in before.items():
+        assert after[key].statistic == pytest.approx(component.statistic, rel=1e-9)
+        if key[0] not in ("T_FA", "Pillai_d"):
+            assert abs(after[key].p_value - component.p_value) <= 2 / (B + 1)

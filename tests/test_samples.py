@@ -219,7 +219,8 @@ class TestDistanceProfile:
 
 class TestGroupProfileKernel:
     """``StatEngine.group_profiles`` and ``moments`` on 40 permuted labelings
-    of J=3 groups, one space of each kind: medoid, centroid, custom solver."""
+    of J=3 groups, one space of each kind: medoid, centroid, custom solver;
+    and the chunk layout of ``moments`` at k=100."""
 
     L = 40
 
@@ -278,6 +279,48 @@ class TestGroupProfileKernel:
         chunked = StatEngine(ms).moments(codes)
         for name, value in vars(whole).items():
             np.testing.assert_array_equal(getattr(chunked, name), value, err_msg=name)
+
+    def test_chunk_layout_at_high_k_is_bit_identical(self, monkeypatch):
+        # k=100 coordinates far from the origin, plus a medoid space; the
+        # default budget splits the 48 labelings into several chunks
+        rng = np.random.default_rng(43)
+        n = 64
+        pts = rng.normal(size=(n, 4))
+        ms = GroupedMultiSample(
+            [
+                euclidean_space("E", rng.normal(size=(n, 100)) + 1.0e5),
+                distance_matrix_space("D", np.abs(pts[:, None] - pts[None]).sum(axis=2)),
+            ],
+            np.repeat([0, 1], n // 2),
+        )
+        codes = np.stack([permuted_labels(ms.codes, 9, b) for b in range(48)])
+        X = ms.spaces[0]._fast.embedding
+        prof = StatEngine(ms).group_profiles(codes)
+        for l in (0, 47):
+            for j in (0, 1):
+                idx = np.flatnonzero(codes[l] == j)
+                # the difference form keeps full precision; the expansion
+                # |x|^2 - 2 x.m + |m|^2 would lose about six digits here
+                ref = np.linalg.norm(X[idx] - X[idx].mean(axis=0), axis=1)
+                np.testing.assert_allclose(prof[l, idx, 0], ref, rtol=1e-9)
+
+        chunks = []
+        real = StatEngine.group_profiles
+
+        def counting(self, c):
+            chunks.append(len(c))
+            return real(self, c)
+
+        monkeypatch.setattr(StatEngine, "group_profiles", counting)
+        default = StatEngine(ms).moments(codes)
+        assert len(chunks) >= 3
+        for budget, n_chunks in ((1, 48), (10**9, 1)):
+            monkeypatch.setattr(engine, "_CHUNK_BUDGET", budget)
+            chunks.clear()
+            other = StatEngine(ms).moments(codes)
+            assert len(chunks) == n_chunks
+            for name, value in vars(default).items():
+                np.testing.assert_array_equal(getattr(other, name), value, err_msg=name)
 
     def test_stack_row_equals_single_labeling(self):
         ms = self._multisample()
