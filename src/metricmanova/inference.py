@@ -35,9 +35,14 @@ raises :class:`DegenerateDataError`, since no count can make it significant.
 
 Each statistic has one implementation, on a stack of L labelings
 (``_r_stack``, ``_fa_stack``, ``_pillai_stack``), and ``_perm_p`` is the one
-p-value count.  ``run_tests`` and the scalar helpers share them:
-``r_statistic`` and ``pillai_adapted`` are L=1 views that equal the observed
-statistics of ``run_tests`` bit for bit.  ``ridge=True`` adds
+p-value count.  ``run_tests`` makes one sweep over B + 1 labelings: row 0 is
+the observed labeling and row b + 1 is permutation replicate b.  It walks the
+rows in blocks of ``_CHUNK_BUDGET // n`` labelings and writes each
+component's values into one (B + 1,) array, so memory grows with B by a few
+bytes per component and replicate.  The observed checks run on row 0 of the
+first block; every permutation-calibrated component then takes the same
+``_perm_p`` path.  ``r_statistic`` and ``pillai_adapted`` are L=1 views that
+equal the observed statistics of ``run_tests`` bit for bit.  ``ridge=True`` adds
 1e-10 * trace/dim to the diagonal of the AIRM and LERM inputs only; Euc is
 defined on every symmetric matrix and is never ridged.
 """
@@ -49,6 +54,7 @@ from typing import Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
+from . import engine as _engine
 from .distributions import chi2_sf, chi2_upper_quantile, f_sf
 from .engine import MomentStack, StatEngine
 from .errors import DegenerateDataError, SingularMatrixError, UnstableStatisticError
@@ -394,17 +400,48 @@ def _perm_p(
     return (1 + count) / (n_valid + 1), n_valid
 
 
-def _fa_component_names(S: int) -> list:
-    names = [f"T_{s + 1}" for s in range(S)]
-    names += [f"T_{s + 1}_{t + 1}" for s in range(S) for t in range(s + 1, S)]
-    return names
+def _fa_components(S: int) -> Dict[str, Tuple[int, int]]:
+    """The (s, t) entry of the T matrix behind each ANOVA component, in order."""
+    pairs = [(s, s) for s in range(S)] + [(s, t) for s in range(S) for t in range(s + 1, S)]
+    return {(f"T_{s + 1}" if s == t else f"T_{s + 1}_{t + 1}"): (s, t) for s, t in pairs}
 
 
-def _fa_values(T: np.ndarray, S: int) -> np.ndarray:
-    """Flatten the (.., S, S) T matrix to (.., S(S+1)/2) component order."""
-    cols = [T[..., s, s] for s in range(S)]
-    cols += [T[..., s, t] for s in range(S) for t in range(s + 1, S)]
-    return np.stack(cols, axis=-1)
+def _r_name(kind: str, target: str) -> str:
+    return f"R_mu_{kind}" if target == "mean" else f"R_{target}_{kind}"
+
+
+def _component_names(name: str, S: int) -> list:
+    """The components test ``name`` reports, in report order."""
+    if name.startswith("R_"):
+        return [_r_name(name[2:], target) for target in R_TARGETS]
+    if name.startswith("T_FA"):
+        return list(_fa_components(S))
+    return [name.lower()]
+
+
+def _component_table(
+    mom: MomentStack,
+    pooled_cov: np.ndarray,
+    n: int,
+    r_kinds: Sequence[str],
+    fa_cells: Dict[str, Tuple[int, int]],
+    pooled_inv: Optional[np.ndarray],
+    ridge: bool,
+) -> Dict[str, Tuple[np.ndarray, np.ndarray]]:
+    """(values, validity) per component name over the labeling stack."""
+    table = {}
+    if r_kinds:
+        r_cells = _r_stack(mom, pooled_cov, r_kinds, R_TARGETS, ridge=ridge)
+        for (kind, target), cell in r_cells.items():
+            table[_r_name(kind, target)] = cell
+    if fa_cells:
+        T = _fa_stack(mom, pooled_cov, n)[2]
+        for comp_name, (s, t) in fa_cells.items():
+            table[comp_name] = (T[:, s, t], np.isfinite(T[:, s, t]))
+    if pooled_inv is not None:
+        values = _pillai_stack(mom.weighted_cov, pooled_inv)
+        table["pillai"] = (values, np.isfinite(values))
+    return table
 
 
 def run_test(
@@ -448,137 +485,79 @@ def run_tests(
 
     S, J, n = ms.n_spaces, ms.n_groups, ms.n
     engine = StatEngine(ms)
-
     r_kinds = tuple(k for k in SPD_KINDS if f"R_{k}" in names)
-    want_cor = bool(r_kinds)
-    want_fa = "T_FA" in names or "T_FA_perm" in names
-    want_pillai = "Pillai" in names
-    want_pillai_d = "Pillai_d" in names
+    fa_cells = _fa_components(S) if "T_FA" in names or "T_FA_perm" in names else {}
+    pooled_inv = _pooled_inverse(engine.pooled_cov) if "Pillai" in names else None
 
-    obs_mom = engine.moments(
-        ms.codes[None, :], want_cor=want_cor, want_moment_var=want_fa
-    )
-
-    # observed statistics, with strict degeneracy errors
-    obs_r: Dict[Tuple[str, str], float] = {}
-    if r_kinds:
-        r_obs = _r_stack(obs_mom, engine.pooled_cov, r_kinds, R_TARGETS, ridge=ridge)
-        for key, (vals, ok) in r_obs.items():
-            if not ok[0] or not np.isfinite(vals[0]):
-                raise SingularMatrixError(
-                    f"component R_{key[1]}_{key[0]}: singular or degenerate matrix; "
-                    "consider ridge repair"
-                )
-            obs_r[key] = float(vals[0])
-    if want_fa:
-        _, _, T_obs_mat, fa_valid = _fa_stack(obs_mom, engine.pooled_cov, n)
-        fa_names = _fa_component_names(S)
-        T_obs = _fa_values(T_obs_mat[0], S)
-        bad = ~np.isfinite(T_obs)
-        if np.any(bad):
-            raise DegenerateDataError(
-                f"component {fa_names[int(np.argmax(bad))]}: degenerate moment variance"
-            )
-    if want_pillai:
-        pooled_inv = _pooled_inverse(engine.pooled_cov)
-        pillai_obs = float(_pillai_stack(obs_mom.weighted_cov, pooled_inv)[0])
-    if want_pillai_d:
-        V = _pillai_trace(obs_mom.counts[0], obs_mom.col_mean[0], obs_mom.centered_cov[0], n)
-        _, _, _, pillai_d_p = _pillai_f_approx(V, S, J, n)
-
-    # one shared permutation sweep for everything that needs one
-    perm_tests = [name for name in names if name in _PERM_TESTS]
-    perm_r: Dict[Tuple[str, str], Tuple[np.ndarray, np.ndarray]] = {}
-    if perm_tests:
-        stack = np.stack([permuted_labels(ms.codes, seed, b) for b in range(B)])
-        perm_mom = engine.moments(
-            stack,
-            want_cor=want_cor,
-            want_moment_var="T_FA_perm" in names,
+    # the sweep: row 0 is the observed labeling, row b + 1 permutation
+    # replicate b; a block's label stack holds at most _CHUNK_BUDGET labels
+    rows = B + 1 if needs_perm else 1
+    block = max(1, _engine._CHUNK_BUDGET // n)
+    labels = np.empty((min(block, rows), n), dtype=np.int64)
+    for start in range(0, rows, block):
+        stop = min(start + block, rows)
+        codes = labels[: stop - start]
+        for b in range(start, stop):
+            codes[b - start] = ms.codes if b == 0 else permuted_labels(ms.codes, seed, b - 1)
+        mom = engine.moments(codes, want_cor=bool(r_kinds), want_moment_var=bool(fa_cells))
+        cells = _component_table(
+            mom, engine.pooled_cov, n, r_kinds, fa_cells, pooled_inv, ridge
         )
-        if r_kinds:
-            perm_r = _r_stack(perm_mom, engine.pooled_cov, r_kinds, R_TARGETS, ridge=ridge)
-        if "T_FA_perm" in names:
-            _, _, T_perm_mat, _ = _fa_stack(perm_mom, engine.pooled_cov, n)
-            T_perm = _fa_values(T_perm_mat, S)
-        if want_pillai:
-            pillai_perm = _pillai_stack(perm_mom.weighted_cov, pooled_inv)
+        if start == 0:
+            # observed statistics, with strict degeneracy errors
+            for kind in r_kinds:
+                for target in R_TARGETS:
+                    values, valid = cells[_r_name(kind, target)]
+                    if not valid[0] or not np.isfinite(values[0]):
+                        raise SingularMatrixError(
+                            f"component R_{target}_{kind}: singular or degenerate "
+                            "matrix; consider ridge repair"
+                        )
+            for comp_name in fa_cells:
+                if not np.isfinite(cells[comp_name][0][0]):
+                    raise DegenerateDataError(
+                        f"component {comp_name}: degenerate moment variance"
+                    )
+            if "Pillai_d" in names:
+                V = _pillai_trace(mom.counts[0], mom.col_mean[0], mom.centered_cov[0], n)
+                _, _, _, pillai_d_p = _pillai_f_approx(V, S, J, n)
+            table = {c: (np.empty(rows), np.empty(rows, dtype=bool)) for c in cells}
+        for comp_name, (values, valid) in cells.items():
+            table[comp_name][0][start:stop] = values
+            table[comp_name][1][start:stop] = valid
 
     reports = []
     for name in names:
+        if name.startswith("R_"):
+            level = alpha / 3.0
+        elif name.startswith("T_FA"):
+            level = 2.0 * alpha / (S * (S + 1))
+        else:
+            level = alpha
+        threshold = chi2_upper_quantile(J - 1, level) if name == "T_FA" else None
         components = []
         used = []  # valid replicates per permutation-calibrated component
-        if name.startswith("R_"):
-            kind = name[2:]
-            level = alpha / 3.0
-            for target in R_TARGETS:
-                vals, ok = perm_r[(kind, target)]
-                comp_name = f"R_{target}_{kind}" if target != "mean" else f"R_mu_{kind}"
-                p, n_valid = _perm_p(obs_r[(kind, target)], vals, ok, comp_name)
-                used.append(n_valid)
-                components.append(
-                    ComponentResult(
-                        name=comp_name,
-                        statistic=obs_r[(kind, target)],
-                        p_value=p,
-                        threshold=None,
-                        level=level,
-                        reject=p <= level,
-                    )
-                )
-        elif name == "T_FA":
-            level = 2.0 * alpha / (S * (S + 1))
-            threshold = chi2_upper_quantile(J - 1, level)
-            for comp_name, value in zip(_fa_component_names(S), T_obs):
-                components.append(
-                    ComponentResult(
-                        name=comp_name,
-                        statistic=float(value),
-                        p_value=max(chi2_sf(float(value), J - 1), 5e-324),
-                        threshold=threshold,
-                        level=level,
-                        reject=bool(value > threshold),
-                    )
-                )
-        elif name == "T_FA_perm":
-            level = 2.0 * alpha / (S * (S + 1))
-            for k, comp_name in enumerate(_fa_component_names(S)):
-                p, n_valid = _perm_p(
-                    float(T_obs[k]), T_perm[:, k], np.isfinite(T_perm[:, k]), comp_name
-                )
-                used.append(n_valid)
-                components.append(
-                    ComponentResult(
-                        name=comp_name,
-                        statistic=float(T_obs[k]),
-                        p_value=p,
-                        threshold=None,
-                        level=level,
-                        reject=p <= level,
-                    )
-                )
-        elif name == "Pillai":
-            p, n_valid = _perm_p(pillai_obs, pillai_perm, np.isfinite(pillai_perm), "pillai")
-            used.append(n_valid)
+        for comp_name in _component_names(name, S):
+            if name == "Pillai_d":
+                statistic, p, reject = V, pillai_d_p, pillai_d_p <= level
+            else:
+                values, valid = table[comp_name]
+                statistic = float(values[0])
+                if name == "T_FA":
+                    p = max(chi2_sf(statistic, J - 1), 5e-324)
+                    reject = statistic > threshold
+                else:
+                    p, n_valid = _perm_p(statistic, values[1:], valid[1:], comp_name)
+                    used.append(n_valid)
+                    reject = p <= level
             components.append(
                 ComponentResult(
-                    name="pillai",
-                    statistic=pillai_obs,
+                    name=comp_name,
+                    statistic=statistic,
                     p_value=p,
-                    threshold=None,
-                    level=alpha,
-                    reject=p <= alpha,
-                )
-            )
-        else:  # Pillai_d
-            components.append(
-                ComponentResult(
-                    name="pillai_d",
-                    statistic=float(V),
-                    p_value=float(pillai_d_p),
-                    threshold=None,
-                    level=alpha,
-                    reject=bool(pillai_d_p <= alpha),
+                    threshold=threshold,
+                    level=level,
+                    reject=bool(reject),
                 )
             )
         reports.append(

@@ -1,11 +1,13 @@
 """Tests for the statistics, permutation machinery, and the seven tests."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from metricmanova import inference
+from metricmanova import engine, inference
+from metricmanova.engine import StatEngine
 from metricmanova.errors import DegenerateDataError, UnstableStatisticError
 from metricmanova.estimators import MomentSet, moment_set
 from metricmanova.inference import (
@@ -621,6 +623,67 @@ class TestRunTest:
         )
         assert report.components[0].p_value == pytest.approx(p_generic, abs=1e-12)
 
+    def test_observed_statistics_equal_scalar_helpers_bit_for_bit(self):
+        # the observed statistics are row 0 of the sweep's (B + 1)-row stack
+        ms = scenario_generator(1, 2, 2.0, n1=40, n2=40)(3)
+        reports = run_tests(["T_FA", "T_FA_perm", "Pillai_d"], ms, B=19, seed=0)
+        S = ms.n_spaces
+        expected = [anova_stats_variance(ms, s)[2] for s in range(S)]
+        expected += [
+            anova_stats_covariance(ms, s, t)[2] for s in range(S) for t in range(s + 1, S)
+        ]
+        for report in reports[:2]:
+            assert [c.statistic for c in report.components] == expected
+        pillai_d = reports[2].components[0]
+        assert pillai_distance(ms) == (pillai_d.statistic, pillai_d.p_value)
+
+    def test_sweep_layout_is_bit_identical(self, monkeypatch):
+        # one labeling per block, or the whole sweep in one block
+        rng = np.random.default_rng(86)
+        pts = rng.normal(size=(30, 3))
+        medoid_ms = GroupedMultiSample(
+            [
+                distance_matrix_space("D", np.abs(pts[:, None] - pts[None]).sum(axis=2)),
+                euclidean_space("e", rng.normal(size=(30, 2))),
+            ],
+            np.repeat([1, 2, 3], 10),
+        )
+        blocks = []
+        real = StatEngine.moments
+
+        def counting(self, codes, **kw):
+            blocks.append(len(codes))
+            return real(self, codes, **kw)
+
+        monkeypatch.setattr(StatEngine, "moments", counting)
+        for ms in (scenario_generator(1, 2, 2.0, n1=20, n2=20)(5), medoid_ms):
+            for B in (1, 19):
+                runs = []
+                for budget, layout in ((1, [1] * (B + 1)), (10**9, [B + 1])):
+                    monkeypatch.setattr(engine, "_CHUNK_BUDGET", budget)
+                    blocks.clear()
+                    runs.append(run_tests(list(TEST_NAMES), ms, B=B, seed=4))
+                    assert blocks == layout
+                assert runs[0] == runs[1]
+            asymptotic = ["T_FA", "Pillai_d"]
+            assert run_tests(asymptotic, ms, B=0, seed=4) == run_tests(
+                asymptotic, ms, B=19, seed=4
+            )
+
+    def test_peak_memory_is_bounded_in_B(self):
+        # the sweep keeps B + 1 values per component, not per-replicate stacks
+        ms = scenario_generator(1, 2, 2.0, n1=100, n2=100)(0)
+        run_tests(list(TEST_NAMES), ms, B=5, seed=1)
+        peaks = []
+        for B in (250, 4000):
+            tracemalloc.start()
+            try:
+                run_tests(list(TEST_NAMES), ms, B=B, seed=1)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] < 2 * 2**20
+
     def test_t_fa_threshold_is_chi2_quantile(self):
         from metricmanova.distributions import chi2_upper_quantile
 
@@ -644,10 +707,11 @@ class TestRunTest:
 
         def make_degenerate(n_bad):
             def pillai_stack(weighted_cov, pooled_inv):
+                # row 0 of the sweep is the observed labeling
                 values = real(weighted_cov, pooled_inv)
-                if len(values) == B:
-                    values[:n_bad] = np.nan
-                    kept["values"] = values[n_bad:]
+                if len(values) == B + 1:
+                    values[1 : 1 + n_bad] = np.nan
+                    kept["values"] = values[1 + n_bad :]
                 return values
 
             return pillai_stack
