@@ -115,11 +115,17 @@ class StatEngine:
 
     # -- distance profiles ----------------------------------------------------
 
-    def group_profiles(self, codes: np.ndarray) -> np.ndarray:
-        """(L, n, S) distances from each observation to its group mean."""
+    def group_profiles(
+        self, codes: np.ndarray, masks: Optional[np.ndarray] = None
+    ) -> np.ndarray:
+        """(L, n, S) distances from each observation to its group mean.
+
+        ``masks`` may pass in ``_group_masks(codes, J)`` when the caller has it.
+        """
         codes = np.asarray(codes, dtype=np.int64)
         L, n = codes.shape
-        masks = _group_masks(codes, self.J)
+        if masks is None:
+            masks = _group_masks(codes, self.J)
         counts = masks.sum(axis=2)
         rows = np.arange(L)[:, None]
         out = np.empty((L, n, self.S), dtype=float)
@@ -168,8 +174,8 @@ class StatEngine:
         for start in range(0, L, chunk):
             sl = slice(start, min(start + chunk, L))
             c = codes[sl]
-            p = self.group_profiles(c)
             masks = _group_masks(c, J)
+            p = self.group_profiles(c, masks)
             cnt = masks.sum(axis=2)
             counts[sl] = cnt
             col_mean[sl] = np.einsum("cjn,cns->cjs", masks, p) / cnt[:, :, None]
@@ -178,7 +184,8 @@ class StatEngine:
                 np.einsum("cjn,cnst->cjst", masks, prods) / cnt[:, :, None, None]
             )
             if want_moment_var:
-                sq = np.einsum("cjn,cnst->cjst", masks, prods * prods)
+                np.multiply(prods, prods, out=prods)
+                sq = np.einsum("cjn,cnst->cjst", masks, prods)
                 sq /= cnt[:, :, None, None]
                 prod_sqmean[sl] = sq
                 moment_var[sl] = sq - group_cov[sl] ** 2

@@ -37,7 +37,8 @@ Each statistic has one implementation, on a stack of L labelings
 (``_r_stack``, ``_fa_stack``, ``_pillai_stack``), and ``_perm_p`` is the one
 p-value count.  ``run_tests`` makes one sweep over B + 1 labelings: row 0 is
 the observed labeling and row b + 1 is permutation replicate b.  It walks the
-rows in blocks of ``_CHUNK_BUDGET // n`` labelings and writes each
+rows in blocks of ``_CHUNK_BUDGET // n`` labelings, drawing each block's
+shuffles with one batched ``permuted_labels`` call, and writes each
 component's values into one (B + 1,) array, so memory grows with B by a few
 bytes per component and replicate.  The observed checks run on row 0 of the
 first block; every permutation-calibrated component then takes the same
@@ -371,12 +372,15 @@ def permutation_pvalue(
     check_seed(seed)
     observed = float(stat(ms))
     values = np.empty(B)
-    for b in range(B):
-        shuffled = ms.with_labels(permuted_labels(ms.labels, seed, b))
-        try:
-            values[b] = stat(shuffled)
-        except DegenerateDataError:
-            values[b] = np.nan
+    # label rows in blocks of at most _CHUNK_BUDGET labels, as in run_tests
+    block = max(1, _engine._CHUNK_BUDGET // ms.n)
+    for start in range(0, B, block):
+        rows = permuted_labels(ms.labels, seed, range(start, min(start + block, B)))
+        for b, labels in enumerate(rows, start):
+            try:
+                values[b] = stat(ms.with_labels(labels))
+            except DegenerateDataError:
+                values[b] = np.nan
     return _perm_p(observed, values, np.isfinite(values), "statistic")[0]
 
 
@@ -497,8 +501,10 @@ def run_tests(
     for start in range(0, rows, block):
         stop = min(start + block, rows)
         codes = labels[: stop - start]
-        for b in range(start, stop):
-            codes[b - start] = ms.codes if b == 0 else permuted_labels(ms.codes, seed, b - 1)
+        if start == 0:
+            codes[0] = ms.codes
+        first = max(start, 1)
+        permuted_labels(ms.codes, seed, range(first - 1, stop - 1), out=codes[first - start:])
         mom = engine.moments(codes, want_cor=bool(r_kinds), want_moment_var=bool(fa_cells))
         cells = _component_table(
             mom, engine.pooled_cov, n, r_kinds, fa_cells, pooled_inv, ridge

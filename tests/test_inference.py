@@ -23,6 +23,7 @@ from metricmanova.inference import (
     run_test,
     run_tests,
 )
+from metricmanova.rng import PERM_STREAM, derive_rng, permuted_labels
 from metricmanova.samples import GroupedMultiSample
 from metricmanova.simulation import scenario_generator
 from metricmanova.spaces import distance_matrix_space, euclidean_space
@@ -494,6 +495,23 @@ class TestPermutationPvalue:
         p2 = permutation_pvalue(stat, ms, B=19, seed=11)
         assert p1 == p2
 
+    @pytest.mark.parametrize("budget", [1, 3 * 12, None])
+    def test_shuffles_are_the_scalar_stream(self, monkeypatch, budget):
+        # replicate b sees permuted_labels(labels, seed, b), also for str
+        # labels and across label blocks (budget 36 gives blocks of 3 rows)
+        rng = np.random.default_rng(75)
+        ms = random_two_group_ms(rng, n1=6, n2=6).with_labels(np.repeat(["ab", "c"], 6))
+        if budget is not None:
+            monkeypatch.setattr(engine, "_CHUNK_BUDGET", budget)
+        seen = []
+
+        def record(m):
+            seen.append(m.labels.tolist())
+            return 0.0
+
+        permutation_pvalue(record, ms, B=8, seed=4)
+        assert seen[1:] == [permuted_labels(ms.labels, 4, b).tolist() for b in range(8)]
+
     def test_b_validation(self):
         rng = np.random.default_rng(74)
         ms = random_two_group_ms(rng)
@@ -669,6 +687,29 @@ class TestRunTest:
             assert run_tests(asymptotic, ms, B=0, seed=4) == run_tests(
                 asymptotic, ms, B=19, seed=4
             )
+
+    def test_sweep_rows_equal_scalar_label_stream(self, monkeypatch):
+        # row b + 1 of the sweep is replicate b's shuffle, block by block
+        ms = scenario_generator(1, 2, 2.0, n1=20, n2=20)(5)
+        calls = []
+
+        def per_replicate(labels, seed, replicates, out):
+            calls.append(replicates)
+            for row, b in zip(out, replicates):
+                row[...] = labels[derive_rng(seed, PERM_STREAM, b).permutation(len(labels))]
+            return out
+
+        batched = inference.permuted_labels
+        for B in (1, 19):
+            for budget in (1, engine._CHUNK_BUDGET):
+                monkeypatch.setattr(engine, "_CHUNK_BUDGET", budget)
+                runs = []
+                for stream in (batched, per_replicate):
+                    monkeypatch.setattr(inference, "permuted_labels", stream)
+                    runs.append(run_tests(list(TEST_NAMES), ms, B=B, seed=4))
+                assert runs[0] == runs[1]
+                assert [b for replicates in calls for b in replicates] == list(range(B))
+                calls.clear()
 
     def test_peak_memory_is_bounded_in_B(self):
         # the sweep keeps B + 1 values per component, not per-replicate stacks

@@ -307,9 +307,9 @@ class TestGroupProfileKernel:
         chunks = []
         real = StatEngine.group_profiles
 
-        def counting(self, c):
+        def counting(self, c, *masks):
             chunks.append(len(c))
-            return real(self, c)
+            return real(self, c, *masks)
 
         monkeypatch.setattr(StatEngine, "group_profiles", counting)
         default = StatEngine(ms).moments(codes)
