@@ -7,6 +7,14 @@ once.  Scenario 2 draws random trees by degree-powered preferential attachment
 together with node covariates whose Gamma distribution is tied to the final
 node degrees, giving an intrinsic dependence between topology and covariates.
 
+Scenario 2's stream contract: group by group, each tree draws one
+``rng.random(nodes - 2)`` (value t - 2 places node t), then one ``rng.gamma``
+of size ``nodes`` for its covariates.  The weights degree**gamma come from one
+table per group built by numpy's ``power``, not by ``math.pow`` or ``**`` on
+Python floats: on SIMD builds those differ from numpy in the last bit for some
+pairs, and the table equals the per-step ``degrees ** gamma`` of the reference
+walk in ``tests/oracles.py``.
+
 All generators are deterministic functions of their parameters and an integer
 seed; replicate ``k`` of a sweep derives its seed from ``(seed, k)``.
 """
@@ -14,7 +22,9 @@ seed; replicate ``k`` of a sweep derives its seed from ``(seed, k)``.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
@@ -125,6 +135,8 @@ class Scenario2Params:
             raise ValueError(f"need at least 2 nodes, got {self.nodes}")
         if self.n1 < 2 or self.n2 < 2:
             raise ValueError("both groups need at least 2 observations")
+        for gamma in (self.gamma1, self.gamma2):
+            _degree_powers(gamma, self.nodes)
 
     @classmethod
     def from_effect(
@@ -219,6 +231,46 @@ def gen_scenario1(params: Scenario1Params, seed: int) -> GroupedMultiSample:
     return GroupedMultiSample([space1, space2], labels)
 
 
+def _degree_powers(gamma: float, nodes: int) -> list:
+    """[0, 1**gamma, ..., (nodes - 1)**gamma] by numpy's ``power``, all finite."""
+    with np.errstate(over="ignore"):
+        powers = np.arange(1, nodes, dtype=float) ** gamma
+    if not (math.isfinite(gamma) and np.all(np.isfinite(powers))):
+        raise ValueError(f"attachment exponent {gamma} gives non-finite degree weights")
+    return [0.0] + powers.tolist()
+
+
+def _grow_trees(
+    gamma: float, laps: np.ndarray, rng: np.random.Generator, covs=None, nu=1.0
+) -> np.ndarray:
+    """Write a tree into each row of the zeroed (count, nodes, nodes) ``laps``.
+
+    Node t attaches where ``bisect_right`` (``searchsorted(side="right")``)
+    puts u times the total in the running weight sums (``accumulate`` adds
+    left to right, as ``np.cumsum`` does).  Given ``covs``, each tree's
+    covariates are drawn into it before the next tree.  Returns the degrees.
+    """
+    count, nodes, _ = laps.shape
+    weight = _degree_powers(gamma, nodes)
+    parents = np.empty((count, nodes - 1), dtype=np.intp)
+    degrees = np.empty((count, nodes))
+    for i in range(count):
+        deg, parent = [1, 1], [0]
+        for u in rng.random(nodes - 2).tolist():
+            cum = list(accumulate([weight[d] for d in deg]))
+            target = bisect_right(cum, u * cum[-1])
+            parent.append(target)
+            deg[target] += 1
+            deg.append(1)
+        parents[i], degrees[i] = parent, deg
+        if covs is not None:
+            covs[i] = gamma_covariates(degrees[i], nu, rng)
+    tree, child, node = np.arange(count)[:, None], np.arange(1, nodes), np.arange(nodes)
+    laps[tree, parents, child] = laps[tree, child, parents] = -1.0
+    laps[:, node, node] = degrees
+    return degrees
+
+
 def ba_graph(
     gamma: float, nodes: int, rng: np.random.Generator
 ) -> Tuple[LaplacianMatrix, np.ndarray]:
@@ -228,24 +280,17 @@ def ba_graph(
     existing node with probability proportional to degree**gamma; the second
     node necessarily attaches to the first.  Returns the graph Laplacian and
     the final degrees in construction order.
+
+    The one-tree view of :func:`gen_scenario2`'s builder: it draws exactly
+    ``rng.random(nodes - 2)`` and reads degree**gamma from a numpy-built table
+    (see the module docstring).  A ``gamma`` that is not finite or makes a
+    weight overflow raises ``ValueError``.
     """
     if nodes < 2:
         raise ValueError(f"need at least 2 nodes, got {nodes}")
-    degrees = np.zeros(nodes, dtype=float)
-    edges = [(0, 1)]
-    degrees[0] = degrees[1] = 1.0
-    for t in range(2, nodes):
-        weights = degrees[:t] ** gamma
-        cum = np.cumsum(weights)
-        target = int(np.searchsorted(cum, rng.random() * cum[-1], side="right"))
-        edges.append((target, t))
-        degrees[target] += 1.0
-        degrees[t] = 1.0
-    adj = np.zeros((nodes, nodes), dtype=float)
-    for u, v in edges:
-        adj[u, v] = adj[v, u] = 1.0
-    lap = np.diag(adj.sum(axis=1)) - adj
-    return LaplacianMatrix(lap), degrees
+    laps = np.zeros((1, nodes, nodes))
+    degrees = _grow_trees(gamma, laps, rng)
+    return LaplacianMatrix(laps[0]), degrees[0]
 
 
 def gamma_covariates(
@@ -261,20 +306,11 @@ def gamma_covariates(
 def gen_scenario2(params: Scenario2Params, seed: int) -> GroupedMultiSample:
     """One scenario-2 dataset: Laplacian space plus node-covariate space."""
     rng = derive_rng(seed)
-    nodes = params.nodes
-    n = params.n1 + params.n2
-    laps = np.empty((n, nodes, nodes), dtype=float)
-    covs = np.empty((n, nodes), dtype=float)
-    i = 0
-    for gamma, nu, size in (
-        (params.gamma1, params.nu1, params.n1),
-        (params.gamma2, params.nu2, params.n2),
-    ):
-        for _ in range(size):
-            lap, kf = ba_graph(gamma, nodes, rng)
-            laps[i] = lap.entries
-            covs[i] = gamma_covariates(kf, nu, rng)
-            i += 1
+    laps = np.zeros((params.n1 + params.n2, params.nodes, params.nodes))
+    covs = np.empty(laps.shape[:2])
+    g1, g2 = slice(params.n1), slice(params.n1, None)
+    _grow_trees(params.gamma1, laps[g1], rng, covs[g1], params.nu1)
+    _grow_trees(params.gamma2, laps[g2], rng, covs[g2], params.nu2)
     space1 = laplacian_space("topology", laps)
     space2 = euclidean_space("covariates", covs, norm="L2")
     labels = np.repeat([1, 2], [params.n1, params.n2])

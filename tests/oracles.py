@@ -200,3 +200,40 @@ def oracle_pillai_distance(per_group, labels):
     df2 = s_ * (2 * r_ + s_ + 1)
     p_value = float(scipy.stats.f.sf(F, df1, df2))
     return V, F, df1, df2, p_value
+
+
+def oracle_ba_graph(gamma, nodes, rng):
+    """(Laplacian, final degrees) of one tree, one numpy step per node.
+
+    The definition of the scenario-2 tree stream: node t >= 2 draws one
+    ``rng.random()`` and attaches where ``searchsorted(side="right")`` puts
+    that fraction of the cumulative sum of ``degrees[:t] ** gamma``.
+    """
+    degrees = np.zeros(nodes, dtype=float)
+    edges = [(0, 1)]
+    degrees[0] = degrees[1] = 1.0
+    for t in range(2, nodes):
+        cum = np.cumsum(degrees[:t] ** gamma)
+        target = int(np.searchsorted(cum, rng.random() * cum[-1], side="right"))
+        edges.append((target, t))
+        degrees[target] += 1.0
+        degrees[t] = 1.0
+    adj = np.zeros((nodes, nodes), dtype=float)
+    for u, v in edges:
+        adj[u, v] = adj[v, u] = 1.0
+    return np.diag(adj.sum(axis=1)) - adj, degrees
+
+
+def oracle_scenario2(params, rng):
+    """(Laplacians, covariates, labels) of a scenario-2 dataset, tree by tree:
+    per tree the walk's uniforms, then one ``gamma`` draw of size ``nodes``."""
+    laps, covs = [], []
+    for gamma, nu, size in (
+        (params.gamma1, params.nu1, params.n1),
+        (params.gamma2, params.nu2, params.n2),
+    ):
+        for _ in range(size):
+            lap, k = oracle_ba_graph(gamma, params.nodes, rng)
+            laps.append(lap)
+            covs.append(rng.gamma(k * k / nu, nu / k))
+    return np.stack(laps), np.stack(covs), np.repeat([1, 2], [params.n1, params.n2])

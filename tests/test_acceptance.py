@@ -183,12 +183,13 @@ class TestCriterion05PowerDependenceChange:
 
 class TestCriterion06CovarianceConsistency:
     def test_error_shrinks_with_n(self):
-        # oracle: 1e7-draw brute-force Monte Carlo of E|a||b|
-        rng = derive_rng(606)
-        z = rng.standard_normal((10_000_000, 2))
-        a = 0.5 * z[:, 0]
-        b = 0.2 * (0.7 * z[:, 0] + math.sqrt(1 - 0.49) * z[:, 1])
-        sigma12 = float(np.mean(np.abs(a) * np.abs(b)))
+        # oracle: E|a||b| for a bivariate normal with sds (0.5, 0.2) and
+        # correlation 0.7, in closed form (Nabeya 1951, Ann. Inst. Stat.
+        # Math. 3:2-6): s1*s2*(2/pi)*(sqrt(1 - rho^2) + rho*arcsin(rho))
+        rho = 0.7
+        sigma12 = 0.5 * 0.2 * (2 / math.pi) * (
+            math.sqrt(1 - rho * rho) + rho * math.asin(rho)
+        )
 
         medians = {}
         for n in (50, 200, 800, 3200):

@@ -5,12 +5,15 @@ import math
 import numpy as np
 import pytest
 
+from metricmanova.cli import main
+from metricmanova.dataset import save_msd
 from metricmanova.inference import run_tests
 from metricmanova.rng import DATA_STREAM, derive_rng, spawn_seed
-from metricmanova.samples import frechet_mean
+from metricmanova.samples import GroupedMultiSample, frechet_mean
 from metricmanova.simulation import (
     Scenario1Params,
     Scenario2Params,
+    _degree_powers,
     ba_graph,
     estimate_rejection_rate,
     estimate_rejection_rates,
@@ -21,7 +24,9 @@ from metricmanova.simulation import (
     scenario_generator,
     study_grid,
 )
-from metricmanova.spaces import LaplacianMatrix
+from metricmanova.spaces import LaplacianMatrix, euclidean_space, laplacian_space
+
+from oracles import oracle_ba_graph, oracle_scenario2
 
 
 class TestBivariateNormal:
@@ -135,6 +140,19 @@ class TestBaGraph:
         with pytest.raises(ValueError):
             ba_graph(1.0, 1, derive_rng(8))
 
+    @pytest.mark.parametrize("gamma", [400.0, math.nan, math.inf, -math.inf])
+    def test_non_finite_weights_are_rejected(self, gamma):
+        # 9**400 overflows: the walk would link a node to itself
+        with pytest.raises(ValueError, match="non-finite"):
+            ba_graph(gamma, 10, derive_rng(1))
+
+    def test_underflowing_weights_still_give_a_tree(self):
+        # 2**-400 is tiny and 9**-400 underflows to 0: leaves attract every node
+        lap, kf = ba_graph(-400.0, 10, derive_rng(1))
+        assert kf.sum() == 2 * 9
+        assert np.count_nonzero(np.triu(lap.entries, 1)) == 9
+        assert np.linalg.eigvalsh(lap.entries)[1] > 1e-9
+
 
 class TestGammaCovariates:
     def test_moment_identities(self):
@@ -170,11 +188,98 @@ class TestGenScenario2:
         with pytest.raises(ValueError):
             Scenario2Params(study=3, gamma1=2.5, gamma2=2.5, nu1=1.0, nu2=-1.0)
 
+    @pytest.mark.parametrize("gamma", [400.0, math.nan, math.inf])
+    def test_non_finite_weights_are_rejected(self, gamma):
+        with pytest.raises(ValueError, match="non-finite"):
+            Scenario2Params(study=1, gamma1=gamma, gamma2=2.5)
+        with pytest.raises(ValueError, match="non-finite"):
+            Scenario2Params(study=2, gamma1=1.0, gamma2=gamma)
+        # the weight table depends on the node count: 1**400 is finite
+        assert Scenario2Params(study=1, gamma1=400.0, gamma2=2.5, nodes=2).nodes == 2
+
+    def test_cli_rejects_overflowing_exponent(self, tmp_path, capsys):
+        out = tmp_path / "s2.msd"
+        argv = ["simulate", "--scenario", "2", "--study", "2", "--effect", "400",
+                "--n1", "3", "--n2", "3", "--seed", "1", "--out", str(out)]
+        assert main(argv) == 2
+        assert "non-finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_study1_null_point(self):
         # at gamma1 = 2.5 both groups share (gamma, nu) = (2.5, 1)
         p = Scenario2Params.from_effect(1, 2.5)
         assert p.gamma1 == p.gamma2 == 2.5
         assert p.nu1 == p.nu2 == 1.0
+
+
+def _oracle_dataset(params, seed):
+    laps, covs, labels = oracle_scenario2(params, derive_rng(seed))
+    spaces = [
+        laplacian_space("topology", laps),
+        euclidean_space("covariates", covs, norm="L2"),
+    ]
+    return GroupedMultiSample(spaces, labels)
+
+
+class TestScenario2StreamContract:
+    """The table-driven tree builder against the per-step numpy definition."""
+
+    @pytest.mark.parametrize("study", [1, 2, 3, 4])
+    def test_datasets_are_byte_identical_to_the_oracle(self, study):
+        for point, value in enumerate(study_grid(2, study)):
+            for nodes in (2, 3, 10, 17):
+                params = Scenario2Params.from_effect(
+                    study, float(value), nodes=nodes, n1=2, n2=3
+                )
+                for k in range(20):
+                    seed = spawn_seed(study, point, nodes, k)
+                    got = gen_scenario2(params, seed)
+                    want = _oracle_dataset(params, seed)
+                    for a, b in zip(got.spaces, want.spaces):
+                        assert a._fast.embedding.tobytes() == b._fast.embedding.tobytes()
+                    assert got.codes.tobytes() == want.codes.tobytes()
+
+    def test_weight_table_equals_the_per_step_power(self):
+        # a last-bit change in one weight moves an attachment only when a
+        # uniform lands within an ulp of a boundary, so datasets cannot show
+        # it; on SIMD builds Python's ``**`` differs from numpy's ``power``
+        nodes = 40
+        rng = np.random.default_rng(9)
+        for gamma in [-400.0, -1.0, 0.0, 0.5, 2.0, 2.5] + rng.uniform(-3, 6, 60).tolist():
+            table = np.array(_degree_powers(gamma, nodes))
+            for t in range(2, nodes):
+                degrees = np.zeros(nodes)
+                degrees[:t] = rng.integers(1, nodes, t)
+                want = degrees[:t] ** gamma
+                assert table[degrees[:t].astype(int)].tobytes() == want.tobytes()
+
+    def test_ba_graph_is_the_oracle_and_leaves_the_same_state(self):
+        gammas = [-400.0, -1.0, 0.0, 0.5, 1.0, 2.0, 50.0, 300.0]
+        gammas += np.random.default_rng(8).uniform(-3.0, 6.0, 40).tolist()
+        for gamma in gammas:
+            for nodes in (2, 3, 10, 17, 40):
+                if nodes > 10 and gamma == 300.0:
+                    continue  # 16**300 overflows
+                for seed in range(5):
+                    got_rng, want_rng = derive_rng(seed), derive_rng(seed)
+                    lap, kf = ba_graph(gamma, nodes, got_rng)
+                    want_lap, want_kf = oracle_ba_graph(gamma, nodes, want_rng)
+                    assert lap.entries.tobytes() == want_lap.tobytes()
+                    assert kf.tobytes() == want_kf.tobytes()
+                    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+                    assert got_rng.random() == want_rng.random()
+
+    def test_simulate_files_equal_saved_oracle_datasets(self, tmp_path):
+        for study, effect, nodes in ((1, 2.25, 10), (2, -0.625, 3), (3, 0.5, 17), (4, 0.75, 10)):
+            argv = ["simulate", "--scenario", "2", "--study", str(study),
+                    "--effect", repr(effect), "--nodes", str(nodes),
+                    "--n1", "4", "--n2", "5", "--seed", "31", "--out",
+                    str(tmp_path / "cli.msd")]
+            assert main(argv) == 0
+            params = Scenario2Params.from_effect(study, effect, nodes=nodes, n1=4, n2=5)
+            save_msd(tmp_path / "oracle.msd", _oracle_dataset(params, 31))
+            got = (tmp_path / "cli.msd").read_bytes()
+            assert got == (tmp_path / "oracle.msd").read_bytes()
 
 
 class TestStudyGrid:
