@@ -26,6 +26,7 @@ decimal text.
 from __future__ import annotations
 
 import io
+import math
 from typing import List
 
 import numpy as np
@@ -48,18 +49,13 @@ def _fmt(x: float) -> str:
 
 def _space_payload(sp: SpaceSample) -> tuple:
     """(kind tag, extra header words, numeric rows) for one space block."""
+    rows = sp.coords
     if sp.kind == "gaussian":
-        return "gaussian", [], sp._fast.embedding
+        return "gaussian", [], rows
     if sp.kind in ("euclidean-l2", "euclidean-l1"):
-        if sp._fast is not None and sp._fast.embedding is not None:
-            arr = sp._fast.embedding
-        else:
-            arr = np.array([p.array for p in sp.points()], dtype=float)
-        return sp.kind, ["dim", str(arr.shape[1])], arr
+        return sp.kind, ["dim", str(rows.shape[1])], rows
     if sp.kind == "laplacian":
-        flat = sp._fast.embedding
-        nodes = int(round(np.sqrt(flat.shape[1])))
-        return "laplacian", ["nodes", str(nodes)], flat
+        return "laplacian", ["nodes", str(math.isqrt(rows.shape[1]))], rows
     if sp.kind == "distances":
         return "distances", [], sp.pairwise()
     raise DataError(
@@ -132,6 +128,16 @@ def _floats(line: str, count: int, what: str) -> np.ndarray:
         raise DataError(f"{what}: {exc}") from exc
 
 
+def _positive_int(text: str, what: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise DataError(f"{what} must be a positive integer, got {text!r}") from None
+    if value < 1:
+        raise DataError(f"{what} must be a positive integer, got {value}")
+    return value
+
+
 def loads_msd(text: str) -> GroupedMultiSample:
     """Parse ``.msd`` text into a multisample."""
     rd = _LineReader(text)
@@ -145,13 +151,7 @@ def loads_msd(text: str) -> GroupedMultiSample:
         parts = rd.next(name).split()
         if len(parts) != 2 or parts[0] != name:
             raise DataError(f"expected '{name} <count>', got {' '.join(parts)!r}")
-        try:
-            value = int(parts[1])
-        except ValueError as exc:
-            raise DataError(f"bad {name} count: {parts[1]!r}") from exc
-        if value < 1:
-            raise DataError(f"{name} must be positive, got {value}")
-        return value
+        return _positive_int(parts[1], name)
 
     n = _int_field("observations")
     n_spaces = _int_field("spaces")
@@ -166,24 +166,23 @@ def loads_msd(text: str) -> GroupedMultiSample:
         if len(head) < 3 or head[0] != "space":
             raise DataError(f"expected 'space <id> <kind>', got {' '.join(head)!r}")
         sid, kind = head[1], head[2]
+        if kind in ("euclidean-l2", "euclidean-l1", "laplacian"):
+            word = "nodes" if kind == "laplacian" else "dim"
+            if len(head) != 5 or head[3] != word:
+                raise DataError(f"space {sid}: expected '{word} <count>' in header")
+            size = _positive_int(head[4], f"space {sid}: {word}")
         if kind == "gaussian":
             rows = np.stack([_floats(rd.next("gaussian row"), 2, f"space {sid}") for _ in range(n)])
             spaces.append(gaussian_space(sid, rows))
         elif kind in ("euclidean-l2", "euclidean-l1"):
-            if len(head) != 5 or head[3] != "dim":
-                raise DataError(f"space {sid}: expected 'dim <k>' in header")
-            k = int(head[4])
-            rows = np.stack([_floats(rd.next("euclidean row"), k, f"space {sid}") for _ in range(n)])
+            rows = np.stack([_floats(rd.next("euclidean row"), size, f"space {sid}") for _ in range(n)])
             norm = "L2" if kind == "euclidean-l2" else "L1"
             spaces.append(euclidean_space(sid, rows, norm=norm))
         elif kind == "laplacian":
-            if len(head) != 5 or head[3] != "nodes":
-                raise DataError(f"space {sid}: expected 'nodes <m>' in header")
-            m = int(head[4])
             rows = np.stack(
-                [_floats(rd.next("laplacian row"), m * m, f"space {sid}") for _ in range(n)]
+                [_floats(rd.next("laplacian row"), size * size, f"space {sid}") for _ in range(n)]
             )
-            spaces.append(laplacian_space(sid, rows.reshape(n, m, m)))
+            spaces.append(laplacian_space(sid, rows.reshape(n, size, size)))
         elif kind == "distances":
             if len(rd.lines) - rd.pos < n - 1:
                 raise DataError(

@@ -165,26 +165,31 @@ def chi2_cdf(x: float, df: int) -> float:
     return gammainc_lower(df / 2.0, x / 2.0)
 
 
-def chi2_upper_quantile(df: int, p: float) -> float:
-    """The value q with P(chi2_df > q) = p."""
-    _check_df(df, "df")
-    _check_prob(p)
+def _upper_quantile(sf, hi: float, p: float, what: str) -> float:
+    """The q with sf(q) = p for a decreasing tail ``sf``: double ``hi`` until
+    it brackets q, then bisect to a relative width of 1e-14."""
     lo = 0.0
-    hi = max(float(df), 1.0)
-    while chi2_sf(hi, df) > p:
+    while sf(hi) > p:
         lo = hi
         hi *= 2.0
         if hi > 1.0e300:
-            raise ValueError(f"quantile bracket overflow for df={df}, p={p}")
+            raise ValueError(f"quantile bracket overflow for {what}, p={p}")
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if chi2_sf(mid, df) > p:
+        if sf(mid) > p:
             lo = mid
         else:
             hi = mid
         if hi - lo <= 1.0e-14 * hi:
             break
     return 0.5 * (lo + hi)
+
+
+def chi2_upper_quantile(df: int, p: float) -> float:
+    """The value q with P(chi2_df > q) = p."""
+    _check_df(df, "df")
+    _check_prob(p)
+    return _upper_quantile(lambda x: chi2_sf(x, df), max(float(df), 1.0), p, f"df={df}")
 
 
 def f_sf(x: float, df1: int, df2: int) -> float:
@@ -209,19 +214,4 @@ def f_upper_quantile(df1: int, df2: int, p: float) -> float:
     _check_df(df1, "df1")
     _check_df(df2, "df2")
     _check_prob(p)
-    lo = 0.0
-    hi = 1.0
-    while f_sf(hi, df1, df2) > p:
-        lo = hi
-        hi *= 2.0
-        if hi > 1.0e300:
-            raise ValueError(f"quantile bracket overflow for df=({df1},{df2}), p={p}")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if f_sf(mid, df1, df2) > p:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1.0e-14 * hi:
-            break
-    return 0.5 * (lo + hi)
+    return _upper_quantile(lambda x: f_sf(x, df1, df2), 1.0, p, f"df=({df1},{df2})")

@@ -101,16 +101,13 @@ class StatEngine:
                 cols.append(sp.distances_to(res.mean))
         self.pooled_profile = np.column_stack(cols)
         self.pooled_cov = self.pooled_profile.T @ self.pooled_profile / self.n
-        self._embeddings = [
-            sp._fast.embedding if sp._fast is not None else None for sp in ms.spaces
-        ]
+        self._embeddings = [sp.embedding for sp in ms.spaces]
         # medoid spaces: squared distances, clipped at the largest float so
         # that an overflowed square never meets a zero mask entry (0 * inf)
         big = np.finfo(float).max
         self._squares = [
-            None if X is not None or sp.has_exact_mean
-            else np.minimum(np.square(sp.pairwise()), big)
-            for sp, X in zip(ms.spaces, self._embeddings)
+            None if sp.has_exact_mean else np.minimum(np.square(sp.pairwise()), big)
+            for sp in ms.spaces
         ]
 
     # -- distance profiles ----------------------------------------------------

@@ -228,6 +228,12 @@ def _pillai_trace(
     return V
 
 
+def _check_pillai_d_size(n: int, J: int, S: int) -> None:
+    """Pillai_d's F approximation needs n - J - S >= 1 error degrees of freedom."""
+    if n - J - S < 1:
+        raise ValueError(f"need n - J - S >= 1 (n={n}, J={J}, S={S})")
+
+
 def _pillai_f_approx(V: float, S: int, J: int, n: int) -> Tuple[float, int, int, float]:
     p, q = S, J - 1
     s = min(p, q)
@@ -341,10 +347,7 @@ def pillai_distance(ms: GroupedMultiSample) -> Tuple[float, float]:
     standard F-approximation p-value."""
     if ms.n_groups < 2:
         raise ValueError("at least two groups are required")
-    if ms.n - ms.n_groups - ms.n_spaces < 1:
-        raise ValueError(
-            f"need n - J - S >= 1 (n={ms.n}, J={ms.n_groups}, S={ms.n_spaces})"
-        )
+    _check_pillai_d_size(ms.n, ms.n_groups, ms.n_spaces)
     engine = StatEngine(ms)
     mom = engine.moments(ms.codes[None, :], want_cor=False, want_moment_var=False)
     V = _pillai_trace(mom.counts[0], mom.col_mean[0], mom.centered_cov[0], ms.n)
@@ -488,6 +491,8 @@ def run_tests(
         raise ValueError(f"need at least one permutation, got B={B}")
 
     S, J, n = ms.n_spaces, ms.n_groups, ms.n
+    if "Pillai_d" in names:
+        _check_pillai_d_size(n, J, S)
     engine = StatEngine(ms)
     r_kinds = tuple(k for k in SPD_KINDS if f"R_{k}" in names)
     fa_cells = _fa_components(S) if "T_FA" in names or "T_FA_perm" in names else {}

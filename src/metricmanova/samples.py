@@ -1,15 +1,13 @@
 """Sample containers and Fréchet mean / variance computation.
 
-A :class:`SpaceSample` holds one metric space's observations, either as
-native objects with a distance function or as a precomputed distance matrix.
+A :class:`SpaceSample` holds one metric space's observations as coordinate
+rows, a distance matrix, or user objects with a distance function, and the
+representation decides the Fréchet mean, the point minimizing the mean of
+squared distances to the observations: the centroid of rows under an L2
+metric, a user's exact solver, or else the sample medoid, which restricts
+the minimizer to the observed points and is therefore an approximation.
 A :class:`GroupedMultiSample` aligns several spaces observation-by-observation
 and carries the group labels; it is the input to every test in the package.
-
-The Fréchet mean of a sample is the point minimizing the mean of squared
-distances to the observations.  Spaces constructed through
-:mod:`metricmanova.spaces` register exact solvers; a space known only through
-its distances falls back to the sample medoid, which restricts the minimizer
-to the observed points and is therefore an approximation.
 """
 
 from __future__ import annotations
@@ -25,30 +23,21 @@ from .errors import DataError
 _SYM_TOL = 1.0e-10
 
 
-@dataclass
-class _FastOps:
-    """Vectorized hooks for registered space kinds.
-
-    ``embedding`` holds one row per observation in coordinates where the
-    space's metric coincides with the Euclidean L2 distance; group means and
-    distances then reduce to array arithmetic.  ``pairwise_fn`` builds the
-    distance matrix of a vectorizable kind whose metric is not an L2
-    embedding (L1 on R^k); such a space takes medoid means from that matrix.
-    """
-
-    embedding: Optional[np.ndarray] = None
-    row_to_point: Optional[Callable[[np.ndarray], Any]] = None
-    point_to_row: Optional[Callable[[Any], np.ndarray]] = None
-    pairwise_fn: Optional[Callable[[], np.ndarray]] = None
-
-
 class SpaceSample:
-    """Observations from one metric space.
+    """Observations from one metric space, in one of three representations.
 
-    Exactly one of ``points`` (with ``distance``) or ``distances`` must be
-    provided.  ``exact_mean`` is an optional solver ``(points, weights) ->
-    point`` returning the exact Fréchet mean of a subset; without it the
-    sample medoid is used.
+    * ``coords``: an (n, k) array with one row per observation, and
+      ``to_point`` turning a row into the native object (by default a copy
+      of the row).  Without a distance matrix the metric is the L2 distance
+      between rows, ``embedding`` is ``coords``, and the mean is the
+      centroid; a native point enters distances through ``np.asarray(point)``.
+    * ``distances``: the n-by-n distance matrix; the mean is the medoid.
+      Given beside ``coords`` the matrix is the metric and the rows only carry
+      the observations (for ``point`` and for saving), and ``distance``
+      measures to points outside the sample.
+    * ``points`` with a ``distance`` function, and optionally ``exact_mean``,
+      a solver ``(points, weights) -> point`` returning the exact Fréchet mean
+      of a subset; without it the mean is the medoid.
     """
 
     def __init__(
@@ -59,37 +48,39 @@ class SpaceSample:
         distance: Optional[Callable[[Any, Any], float]] = None,
         distances: Optional[np.ndarray] = None,
         exact_mean: Optional[Callable] = None,
+        coords: Optional[np.ndarray] = None,
+        to_point: Callable[[np.ndarray], Any] = np.array,
         kind: str = "custom",
-        _fast: Optional[_FastOps] = None,
     ):
         self.space_id = str(space_id)
         self.kind = kind
         self._points = list(points) if points is not None else None
         self.distance = distance
         self.exact_mean_solver = exact_mean
-        self._fast = _fast
-        self._pairwise: Optional[np.ndarray] = None
-
+        self._to_point = to_point
+        if self._points is not None and (coords is not None or distances is not None):
+            raise ValueError(
+                f"space {self.space_id!r}: give either points or coordinates "
+                "and/or a distance matrix, not both"
+            )
+        if self._points is not None and distance is None:
+            raise ValueError(f"space {self.space_id!r}: points require a distance function")
+        if coords is not None:
+            coords = np.asarray(coords, dtype=float).view()
+            if coords.ndim != 2:
+                raise ValueError(f"space {self.space_id!r}: coords must be an (n, k) array")
+            coords.flags.writeable = False
         if distances is not None:
-            if self._points is not None:
-                raise ValueError(
-                    f"space {self.space_id!r}: give either points or a distance "
-                    "matrix, not both"
-                )
-            self._pairwise = self._validate_matrix(np.asarray(distances, dtype=float))
-            self._n = self._pairwise.shape[0]
-        elif self._points is not None:
-            if distance is None and _fast is None:
-                raise ValueError(
-                    f"space {self.space_id!r}: points require a distance function"
-                )
-            self._n = len(self._points)
-        elif _fast is not None and _fast.embedding is not None:
-            self._n = _fast.embedding.shape[0]
-        else:
-            raise ValueError(f"space {self.space_id!r}: no observations provided")
+            distances = self._validate_matrix(np.asarray(distances, dtype=float))
+        self._coords = coords
+        self._pairwise = distances
+        self._embedding = coords if distances is None else None
+        sizes = {len(x) for x in (self._points, coords, distances) if x is not None}
+        if len(sizes) > 1:
+            raise ValueError(f"space {self.space_id!r}: sizes {sorted(sizes)} disagree")
+        self._n = sizes.pop() if sizes else 0
         if self._n == 0:
-            raise ValueError(f"space {self.space_id!r} is empty")
+            raise ValueError(f"space {self.space_id!r} has no observations")
 
     # -- basic introspection ------------------------------------------------
 
@@ -98,17 +89,25 @@ class SpaceSample:
         return self._n
 
     @property
+    def coords(self) -> Optional[np.ndarray]:
+        """Read-only (n, k) coordinate rows, or None without coordinates."""
+        return self._coords
+
+    @property
+    def embedding(self) -> Optional[np.ndarray]:
+        """``coords`` when the metric is their L2 distance, else None."""
+        return self._embedding
+
+    @property
     def has_exact_mean(self) -> bool:
-        return self.exact_mean_solver is not None or (
-            self._fast is not None and self._fast.embedding is not None
-        )
+        return self.exact_mean_solver is not None or self._embedding is not None
 
     def point(self, i: int) -> Any:
         """The i-th observation as a native object."""
         if self._points is not None:
             return self._points[i]
-        if self._fast is not None and self._fast.row_to_point is not None:
-            return self._fast.row_to_point(self._fast.embedding[i])
+        if self._coords is not None:
+            return self._to_point(self._coords[i])
         return int(i)  # distance-matrix spaces expose observations by index
 
     def points(self) -> list:
@@ -138,15 +137,13 @@ class SpaceSample:
     def pairwise(self) -> np.ndarray:
         """Full n-by-n distance matrix, computed once and cached."""
         if self._pairwise is None:
-            if self._fast is not None and self._fast.embedding is not None:
-                X = self._fast.embedding
+            X = self._embedding
+            if X is not None:
                 sq = np.sum(X * X, axis=1)
                 g = X @ X.T
                 d2 = np.maximum(sq[:, None] + sq[None, :] - 2.0 * g, 0.0)
                 mat = np.sqrt(d2)
                 np.fill_diagonal(mat, 0.0)
-            elif self._fast is not None and self._fast.pairwise_fn is not None:
-                mat = self._fast.pairwise_fn()
             else:
                 pts = self._points
                 n = self._n
@@ -161,17 +158,15 @@ class SpaceSample:
         """Distances from the observations ``idx`` (default all) to ``point``."""
         if idx is None:
             idx = np.arange(self._n)
-        if isinstance(point, (int, np.integer)) and self._points is None and (
-            self._fast is None or self._fast.embedding is None
-        ):
-            return self.pairwise()[idx, int(point)]
-        if self._fast is not None and self._fast.embedding is not None:
-            row = self._fast.point_to_row(point)
-            diff = self._fast.embedding[idx] - row[None, :]
+        if self._embedding is not None:
+            row = np.asarray(point, dtype=float).reshape(-1)
+            diff = self._embedding[idx] - row[None, :]
             return np.sqrt(np.sum(diff * diff, axis=1))
+        if self._points is None and self._coords is None:
+            return self.pairwise()[idx, point]  # a bare matrix: points are indices
         out = np.empty(len(idx), dtype=float)
         for k, i in enumerate(idx):
-            out[k] = float(self.distance(self._points[i], point))
+            out[k] = float(self.distance(self.point(i), point))
         if not np.all(np.isfinite(out)) or np.any(out < 0):
             raise DataError(f"space {self.space_id!r}: invalid distance value")
         return out
@@ -181,8 +176,8 @@ class SpaceSample:
         if self.exact_mean_solver is not None:
             pts = [self.point(i) for i in idx]
             return self.exact_mean_solver(pts, None)
-        if self._fast is not None and self._fast.embedding is not None:
-            return self._fast.row_to_point(self._fast.embedding[idx].mean(axis=0))
+        if self._embedding is not None:
+            return self._to_point(self._embedding[idx].mean(axis=0))
         raise ValueError(f"space {self.space_id!r} has no exact mean solver")
 
 

@@ -1,15 +1,16 @@
 """Concrete metric spaces: location-scale Gaussians under Wasserstein-2,
 Euclidean vectors under L1/L2, and graph Laplacians under Frobenius.
 
-Each space constructor returns a :class:`~metricmanova.samples.SpaceSample`
-with the exact Fréchet mean solver registered where one exists:
-
-* Gaussian-W2: component-wise arithmetic mean of (mu, sigma); the squared
-  Wasserstein-2 objective is separable and quadratic in both components.
-* Euclidean-L2: arithmetic mean of the coordinate vectors.  Euclidean-L1 has
-  an exact solver only for one-dimensional points (where L1 equals L2).
-* Laplacian-Frobenius: entrywise arithmetic mean; the Laplacian constraints
-  are linear, so the mean stays in the set.
+Each constructor returns a :class:`~metricmanova.samples.SpaceSample` in one
+of its three representations.  Gaussian-W2, Euclidean-L2, Euclidean-L1 in one
+dimension (where L1 equals L2) and Laplacian-Frobenius are coordinate rows
+whose L2 distance is the metric, so the exact Fréchet mean is the centroid:
+for Gaussians the rows are (mu, sigma), and the squared Wasserstein-2
+objective is separable and quadratic in both; for Laplacians they are the
+flattened matrices, and the Laplacian constraints are linear, so the mean
+stays in the set.  Euclidean-L1 in more dimensions keeps its rows beside
+their L1 distance matrix and takes medoid means; ``distance_matrix_space``
+and ``custom_space`` are the other two representations.
 """
 
 from __future__ import annotations
@@ -20,14 +21,15 @@ from typing import Iterable, Sequence, Union
 import numpy as np
 
 from .errors import DataError
-from .samples import SpaceSample, _FastOps
+from .samples import SpaceSample
 
 _LAP_TOL = 1.0e-10
 
 
 @dataclass(frozen=True)
 class GaussianPoint:
-    """A univariate normal distribution N(mu, sigma^2), sigma > 0."""
+    """A univariate normal distribution N(mu, sigma^2), sigma > 0; as an
+    array, the row (mu, sigma)."""
 
     mu: float
     sigma: float
@@ -37,6 +39,9 @@ class GaussianPoint:
             raise DataError(f"non-finite Gaussian parameters ({self.mu}, {self.sigma})")
         if self.sigma <= 0:
             raise DataError(f"sigma must be positive, got {self.sigma}")
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        return np.array([self.mu, self.sigma], dtype=dtype)
 
 
 @dataclass(frozen=True)
@@ -57,9 +62,13 @@ class EuclideanPoint:
     def array(self) -> np.ndarray:
         return np.asarray(self.coords, dtype=float)
 
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        return np.array(self.coords, dtype=dtype)
+
 
 class LaplacianMatrix:
-    """Graph Laplacian: symmetric, zero row sums, non-positive off-diagonal."""
+    """Graph Laplacian: symmetric, zero row sums, non-positive off-diagonal;
+    as an array, its entries."""
 
     __slots__ = ("entries",)
 
@@ -74,6 +83,9 @@ class LaplacianMatrix:
     @property
     def n_nodes(self) -> int:
         return self.entries.shape[0]
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        return np.array(self.entries, dtype=dtype)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, LaplacianMatrix) and np.array_equal(
@@ -157,10 +169,9 @@ def laplacian_from_edges(n: int, edges: Sequence[tuple]) -> LaplacianMatrix:
 
 
 def _as_gaussian_array(points) -> np.ndarray:
-    if isinstance(points, np.ndarray) and points.ndim == 2 and points.shape[1] == 2:
-        arr = np.asarray(points, dtype=float)
-    else:
-        arr = np.array([[p.mu, p.sigma] for p in points], dtype=float)
+    arr = np.asarray(points, dtype=float)
+    if arr.ndim != 2 or arr.shape[1] != 2:
+        raise ValueError(f"expected an (n, 2) array of (mu, sigma), got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise DataError("non-finite Gaussian parameters")
     if np.any(arr[:, 1] <= 0):
@@ -175,27 +186,19 @@ def gaussian_space(space_id: str, points) -> SpaceSample:
     (mu, sigma) rows.  The metric is an L2 isometry in (mu, sigma), so the
     exact Fréchet mean is the component-wise arithmetic mean.
     """
-    arr = _as_gaussian_array(points)
-    fast = _FastOps(
-        embedding=arr,
-        row_to_point=lambda row: GaussianPoint(float(row[0]), float(row[1])),
-        point_to_row=lambda p: np.array([p.mu, p.sigma], dtype=float),
-    )
     return SpaceSample(
         space_id,
+        coords=_as_gaussian_array(points),
+        to_point=lambda row: GaussianPoint(float(row[0]), float(row[1])),
         distance=w2_gaussian,
         kind="gaussian",
-        _fast=fast,
     )
 
 
 def _as_coord_array(points) -> np.ndarray:
-    if isinstance(points, np.ndarray):
-        arr = np.asarray(points, dtype=float)
-        if arr.ndim == 1:
-            arr = arr[:, None]
-    else:
-        arr = np.array([p.array for p in points], dtype=float)
+    arr = np.asarray(points, dtype=float)
+    if arr.ndim == 1:
+        arr = arr[:, None]
     if arr.ndim != 2:
         raise ValueError(f"expected an (n, k) coordinate array, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
@@ -207,41 +210,27 @@ def euclidean_space(space_id: str, points, norm: str = "L2") -> SpaceSample:
     """R^k under the L2 or L1 metric.
 
     ``points`` is a sequence of :class:`EuclideanPoint` or an (n, k) array.
-    L2 registers the arithmetic mean as exact solver; L1 does so only for
-    k = 1, and otherwise falls back to the medoid.
+    L2 takes the arithmetic mean as exact solver; L1 does so only for k = 1,
+    and otherwise takes the medoid under its L1 distance matrix.
     """
     arr = _as_coord_array(points)
     if norm not in ("L1", "L2"):
         raise ValueError(f"unknown norm {norm!r}")
-    kind = "euclidean-l2" if norm == "L2" else "euclidean-l1"
-    metric = lambda x, y: euclidean_distance(x, y, norm=norm)
-    if norm == "L2" or arr.shape[1] == 1:
-        fast = _FastOps(
-            embedding=arr,
-            row_to_point=lambda row: EuclideanPoint(row),
-            point_to_row=lambda p: p.array,
-        )
-        return SpaceSample(space_id, distance=metric, kind=kind, _fast=fast)
-
-    # L1 in more than one dimension: no exact solver, but a vectorized matrix
-    def _pairwise_l1() -> np.ndarray:
-        return np.abs(arr[:, None, :] - arr[None, :, :]).sum(axis=2)
-
-    fast = _FastOps(pairwise_fn=_pairwise_l1)
+    l1 = None
+    if norm == "L1" and arr.shape[1] > 1:
+        l1 = np.abs(arr[:, None, :] - arr[None, :, :]).sum(axis=2)
     return SpaceSample(
         space_id,
-        points=[EuclideanPoint(row) for row in arr],
-        distance=metric,
-        kind=kind,
-        _fast=fast,
+        coords=arr,
+        distances=l1,
+        to_point=EuclideanPoint,
+        distance=lambda x, y: euclidean_distance(x, y, norm=norm),
+        kind="euclidean-l2" if norm == "L2" else "euclidean-l1",
     )
 
 
 def _as_laplacian_stack(points) -> np.ndarray:
-    if isinstance(points, np.ndarray) and points.ndim == 3:
-        stack = np.asarray(points, dtype=float)
-    else:
-        stack = np.array([p.entries for p in points], dtype=float)
+    stack = np.asarray(points, dtype=float)
     if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
         raise ValueError(f"expected an (n, k, k) stack, got shape {stack.shape}")
     _validate_laplacian_stack(stack)
@@ -257,16 +246,12 @@ def laplacian_space(space_id: str, points) -> SpaceSample:
     """
     stack = _as_laplacian_stack(points)
     n, k, _ = stack.shape
-    fast = _FastOps(
-        embedding=stack.reshape(n, k * k),
-        row_to_point=lambda row: LaplacianMatrix(row.reshape(k, k)),
-        point_to_row=lambda p: p.entries.reshape(-1),
-    )
     return SpaceSample(
         space_id,
+        coords=stack.reshape(n, k * k),
+        to_point=lambda row: LaplacianMatrix(row.reshape(k, k)),
         distance=frobenius_distance,
         kind="laplacian",
-        _fast=fast,
     )
 
 

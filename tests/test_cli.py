@@ -5,10 +5,15 @@ import os
 import tempfile
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from metricmanova.cli import demo_correlation_table, main
+from metricmanova.dataset import loads_msd, save_msd
+from metricmanova.errors import DataError
+from metricmanova.samples import GroupedMultiSample
+from metricmanova.spaces import euclidean_space
 
 
 def run_cli(args):
@@ -164,6 +169,30 @@ class TestExitCodes:
         bad = tmp_path / "truncated.msd"
         bad.write_text("\n".join(lines) + "\n")
         assert run_cli(["test", "--input", str(bad), "--seed", "1"]) == 2
+
+    @pytest.mark.parametrize("size", ["nodes -2", "dim x"])
+    def test_malformed_size_in_space_header(self, tmp_path, size):
+        kind = "laplacian" if size.startswith("nodes") else "euclidean-l2"
+        lines = ["msd 1", "observations 4", "spaces 1", "labels 1 1 2 2",
+                 f"space X {kind} {size}"] + ["0.0 0.0 0.0 0.0"] * 4  # (-2)**2 entries
+        text = "\n".join(lines) + "\n"
+        # numpy's reshape or int() used to raise a bare ValueError here
+        with pytest.raises(DataError, match="^space X: ") as info:
+            loads_msd(text)
+        assert type(info.value) is DataError
+        bad = tmp_path / "bad.msd"
+        bad.write_text(text)
+        assert run_cli(["test", "--input", str(bad), "--seed", "1"]) == 2
+
+    @pytest.mark.parametrize("S", [4, 7])  # n - J - S = 0 and -3
+    def test_pillai_d_sample_too_small(self, tmp_path, S):
+        rng = np.random.default_rng(5)
+        spaces = [euclidean_space(f"e{s}", rng.normal(size=(6, 3))) for s in range(S)]
+        data = tmp_path / "small.msd"
+        save_msd(data, GroupedMultiSample(spaces, [1, 1, 1, 2, 2, 2]))
+        assert run_cli([
+            "test", "--input", str(data), "--tests", "Pillai_d", "--seed", "1",
+        ]) == 2
 
     def test_invalid_alpha_is_data_error(self, tmp_path):
         data = tmp_path / "d.msd"

@@ -24,10 +24,7 @@ def assert_same_multisample(a: GroupedMultiSample, b: GroupedMultiSample):
         if sa.kind == "distances":
             assert np.allclose(sa.pairwise(), sb.pairwise(), atol=0, rtol=0)
         else:
-            assert np.array_equal(sa._fast.embedding, sb._fast.embedding) or np.array_equal(
-                np.array([p.array for p in sa.points()]),
-                np.array([p.array for p in sb.points()]),
-            )
+            assert np.array_equal(sa.coords, sb.coords)
 
 
 class TestRoundTrips:

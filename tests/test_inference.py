@@ -90,6 +90,13 @@ def toy8_ms() -> GroupedMultiSample:
     )
 
 
+def pillai_d_ms(S: int) -> GroupedMultiSample:
+    """n = 6 in J = 2 groups of 3, with S three-dimensional Euclidean-L2 spaces."""
+    rng = np.random.default_rng(5)
+    spaces = [euclidean_space(f"e{s}", rng.normal(size=(6, 3))) for s in range(S)]
+    return GroupedMultiSample(spaces, [1, 1, 1, 2, 2, 2])
+
+
 def random_two_group_ms(rng, n1=14, n2=18) -> GroupedMultiSample:
     x = rng.normal(size=(n1 + n2, 1))
     y = rng.normal(size=(n1 + n2, 3))
@@ -367,6 +374,25 @@ class TestPillai:
         ms = toy4_ms()
         with pytest.raises(ValueError):
             pillai_distance(ms)  # n - J - S = 0
+
+    @pytest.mark.parametrize("S", [4, 7])  # n - J - S = 0 and -3
+    def test_both_entry_points_share_the_size_guard(self, S, monkeypatch):
+        # before the shared guard run_test reported p = 0.0249 at S = 4 and
+        # leaked f_sf's "df2 must be a positive integer" at S = 7
+        ms = pillai_d_ms(S)
+        with pytest.raises(ValueError, match=r"need n - J - S >= 1"):
+            pillai_distance(ms)
+        with pytest.raises(ValueError, match=r"need n - J - S >= 1"):
+            run_test("Pillai_d", ms, B=9)
+        # the guard runs in run_tests' set-up, before any engine is built
+        monkeypatch.setattr(inference, "StatEngine", None)
+        with pytest.raises(ValueError, match=r"need n - J - S >= 1"):
+            run_tests(["R_Euc", "Pillai_d"], ms, B=9)
+
+    def test_smallest_valid_size_agrees(self):
+        ms = pillai_d_ms(3)  # n - J - S = 1
+        pillai_d = run_test("Pillai_d", ms, B=9).components[0]
+        assert pillai_distance(ms) == (pillai_d.statistic, pillai_d.p_value)
 
     def test_affine_column_invariance(self):
         rng = np.random.default_rng(70)

@@ -294,7 +294,7 @@ class TestGroupProfileKernel:
             np.repeat([0, 1], n // 2),
         )
         codes = np.stack([permuted_labels(ms.codes, 9, b) for b in range(48)])
-        X = ms.spaces[0]._fast.embedding
+        X = ms.spaces[0].coords
         prof = StatEngine(ms).group_profiles(codes)
         for l in (0, 47):
             for j in (0, 1):

@@ -84,7 +84,7 @@ class TestGenScenario1:
         ms1 = gen_scenario1(p, seed=11)
         ms2 = gen_scenario1(p, seed=11)
         for s1, s2 in zip(ms1.spaces, ms2.spaces):
-            assert np.array_equal(s1._fast.embedding, s2._fast.embedding)
+            assert np.array_equal(s1.coords, s2.coords)
         assert np.array_equal(ms1.labels, ms2.labels)
 
     def test_structure(self):
@@ -93,7 +93,7 @@ class TestGenScenario1:
         assert ms.counts.tolist() == [10, 12]
         # every object is a unit-variance Gaussian
         for sp in ms.spaces:
-            assert np.all(sp._fast.embedding[:, 1] == 1.0)
+            assert np.all(sp.coords[:, 1] == 1.0)
 
     def test_mean_shift_reaches_group2(self):
         p = Scenario1Params.from_effect(1, 1.0, n1=50, n2=4000)
@@ -171,15 +171,15 @@ class TestGenScenario2:
         ms1 = gen_scenario2(p, seed=13)
         ms2 = gen_scenario2(p, seed=13)
         for s1, s2 in zip(ms1.spaces, ms2.spaces):
-            assert np.array_equal(s1._fast.embedding, s2._fast.embedding)
+            assert np.array_equal(s1.coords, s2.coords)
 
     def test_structure_and_validity(self):
         ms = gen_scenario2(Scenario2Params.from_effect(3, 2.0, n1=8, n2=8), seed=3)
         assert ms.n == 16 and ms.n_spaces == 2
-        flat = ms.spaces[0]._fast.embedding
+        flat = ms.spaces[0].coords
         for row in flat:
             LaplacianMatrix(row.reshape(10, 10))  # validates every graph
-        assert np.all(ms.spaces[1]._fast.embedding > 0)  # gamma draws are positive
+        assert np.all(ms.spaces[1].coords > 0)  # gamma draws are positive
 
     def test_study_mappings(self):
         p = Scenario2Params.from_effect(4, 1.0)
@@ -236,7 +236,7 @@ class TestScenario2StreamContract:
                     got = gen_scenario2(params, seed)
                     want = _oracle_dataset(params, seed)
                     for a, b in zip(got.spaces, want.spaces):
-                        assert a._fast.embedding.tobytes() == b._fast.embedding.tobytes()
+                        assert a.coords.tobytes() == b.coords.tobytes()
                     assert got.codes.tobytes() == want.codes.tobytes()
 
     def test_weight_table_equals_the_per_step_power(self):

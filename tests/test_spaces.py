@@ -3,12 +3,14 @@
 import numpy as np
 import pytest
 
+from metricmanova.dataset import dumps_msd, loads_msd
 from metricmanova.errors import DataError
-from metricmanova.samples import frechet_mean
+from metricmanova.samples import GroupedMultiSample, frechet_mean
 from metricmanova.spaces import (
     EuclideanPoint,
     GaussianPoint,
     LaplacianMatrix,
+    distance_matrix_space,
     euclidean_distance,
     euclidean_space,
     frobenius_distance,
@@ -169,3 +171,62 @@ class TestExactMeanSolvers:
         assert res.solver == "medoid"
         assert res.index == 1
         assert np.array_equal(space.distances_to(space.point(2)), space.pairwise()[:, 2])
+
+
+def every_kind(n: int = 7) -> dict:
+    """One small space of each registered kind, keyed by a readable name."""
+    rng = np.random.default_rng(31)
+    w = rng.uniform(0.1, 2.0, size=(n, 3, 3))
+    w = np.triu(w, 1) + np.triu(w, 1).transpose(0, 2, 1)  # symmetric edge weights
+    laplacians = -w
+    laplacians[:, np.arange(3), np.arange(3)] = w.sum(axis=2)
+    pts = rng.normal(size=(n, 2))
+    return {
+        "gaussian": gaussian_space(
+            "g", np.column_stack([rng.normal(size=n), rng.uniform(0.5, 2.0, n)])
+        ),
+        "euclidean-l2": euclidean_space("e2", rng.normal(size=(n, 3))),
+        "l1-k1": euclidean_space("l1", rng.normal(size=(n, 1)), norm="L1"),
+        "l1-k3": euclidean_space("l3", rng.normal(size=(n, 3)), norm="L1"),
+        "laplacian": laplacian_space("lap", laplacians),
+        "distances": distance_matrix_space(
+            "d", np.abs(pts[:, None, :] - pts[None, :, :]).max(axis=2)
+        ),
+    }
+
+
+KINDS = sorted(every_kind())
+
+
+class TestOneSpaceModel:
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_points_and_distances_agree_with_pairwise(self, kind):
+        space = every_kind()[kind]
+        D = space.pairwise()
+        for i in range(space.n):
+            np.testing.assert_allclose(
+                space.distances_to(space.point(i)), D[:, i], rtol=0, atol=1e-12
+            )
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_coords_round_trip_through_msd(self, kind):
+        space = every_kind()[kind]
+        labels = [1, 1, 1, 2, 2, 2, 2]
+        back = loads_msd(dumps_msd(GroupedMultiSample([space], labels))).spaces[0]
+        assert back.kind == space.kind
+        if kind == "distances":
+            assert back.coords is None
+            assert np.array_equal(back.pairwise(), space.pairwise())
+        else:
+            assert back.coords.tobytes() == space.coords.tobytes()
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_representation_decides_the_mean(self, kind):
+        space = every_kind()[kind]
+        medoid = kind in ("l1-k3", "distances")
+        assert (space.embedding is None) == medoid
+        assert frechet_mean(space).solver == ("medoid" if medoid else "exact")
+        if space.coords is not None:
+            assert not space.coords.flags.writeable
+            if not medoid:
+                assert space.embedding is space.coords
