@@ -6,6 +6,7 @@ Run from the repository root, one section at a time:
     PYTHONPATH=src:tests python notes/reproduce_decisions.py components --seed 20260808 --nsims 2000
     PYTHONPATH=src:tests python notes/reproduce_decisions.py components --seed 777 --nsims 6000
     PYTHONPATH=src:tests python notes/reproduce_decisions.py components --seed 777 --nsims 6000 --alpha 0.075
+    PYTHONPATH=src:tests python notes/reproduce_decisions.py quantiles --seed 20260808 --nsims 2000
     PYTHONPATH=src:tests python notes/reproduce_decisions.py seed-spread
     PYTHONPATH=src:tests python notes/reproduce_decisions.py power-curve --nsims 200 --r 0.125 0.484375 1.5 2.640625 3.0
     PYTHONPATH=src:tests python notes/reproduce_decisions.py power-curve --nsims 500 --r 1.5 3.0
@@ -16,10 +17,15 @@ scenario-1, study-1 null (delta=0, n1=n2=100) with replicate k's data drawn
 from ``spawn_seed(seed, DATA_STREAM, k)``, through the same
 ``tfa_null_rejections`` loop as the calibration test in
 ``tests/test_simulation.py``, and prints each component's rejection rate next
-to its Bonferroni level 2*alpha/(S(S+1)), their sum with its standard error,
-and the rate of their union.  T_FA uses no permutations, so at alpha=0.05
-these rejections are the ones criterion 1 counts; alpha=0.075 puts each
-component at level 0.025.
+to its Bonferroni level alpha / (number of components) = 2*alpha/(S(S+1)),
+their sum with its standard error, and the rate of their union.  T_FA uses
+no permutations, so at alpha=0.05 these rejections are the ones criterion 1
+counts; alpha=0.075 puts each component at level 0.025.
+
+``quantiles`` runs the same replicates and prints the empirical quantiles of
+each component's statistic (numpy's default linear interpolation) at 0.5,
+0.9, 0.95, 0.99 and 1 - level, beside the chi-square(J-1 = 1) quantile that
+T_FA refers each component to.
 
 ``seed-spread`` gives the exact binomial probability that a 1000-replicate
 estimate of a true rate 0.048 reaches criterion 1's lower band edge 0.054,
@@ -41,8 +47,11 @@ from __future__ import annotations
 import argparse
 import math
 
+import numpy as np
+
 import metricmanova as mm
-from test_simulation import tfa_null_rejections
+from metricmanova.distributions import chi2_upper_quantile
+from test_simulation import tfa_null_reports, tfa_null_rejections
 
 ALPHA = 0.05
 NSIMS = 1000  # criterion 1's replicate count
@@ -52,6 +61,7 @@ SEEDS = 20  # data seeds 1..SEEDS scanned by seed-spread
 N_GROUP = 100  # objects per group in scenario 1
 SD_A, SD_B = 0.5, 0.2  # group 1's SDs of the means in spaces 1 and 2
 POWER_CURVE_R = (0.125, 0.484375, 1.5, 2.640625, 3.0)  # the study-2 points quoted
+QUANTILES = (0.5, 0.9, 0.95, 0.99)  # plus 1 - level, added per run
 
 
 def binom_upper_tail(n: int, p: float, k: int) -> float:
@@ -61,7 +71,7 @@ def binom_upper_tail(n: int, p: float, k: int) -> float:
 
 def cmd_components(args) -> None:
     names, hits = tfa_null_rejections(args.seed, args.nsims, args.alpha)
-    level = 2 * args.alpha / 6  # 2*alpha/(S(S+1)) with S=2
+    level = args.alpha / len(names)  # 2*alpha/(S(S+1)) with S=2
     se = math.sqrt(level * (1.0 - level) / args.nsims)
     per_rep = hits.sum(axis=1)
     se_sum = per_rep.std(ddof=1) / math.sqrt(args.nsims)
@@ -70,6 +80,18 @@ def cmd_components(args) -> None:
         print(f"  {name}: {rate:.4f}")
     print(f"  sum of components: {per_rep.mean():.4f} (3 se = {3 * se_sum:.4f})")
     print(f"  union (T_FA rate): {(per_rep > 0).mean():.4f}")
+
+
+def cmd_quantiles(args) -> None:
+    reports = tfa_null_reports(args.seed, args.nsims, args.alpha)
+    names = [c.name for c in reports[0].components]
+    stats = np.array([[c.statistic for c in report.components] for report in reports])
+    level = reports[0].components[0].level
+    print(f"seed={args.seed} nsims={args.nsims} level={level:.4f}")
+    print("  quantile " + "".join(f"{name:>9}" for name in names) + "   chi2_1")
+    for q in sorted(QUANTILES + (1.0 - level,)):
+        row = "".join(f"{x:9.3f}" for x in np.quantile(stats, q, axis=0))
+        print(f"  {q:8.4f} {row} {chi2_upper_quantile(1, 1.0 - q):8.3f}")
 
 
 def cmd_seed_spread(args) -> None:
@@ -120,6 +142,11 @@ def main() -> None:
     comp.add_argument("--nsims", type=int, default=NSIMS)
     comp.add_argument("--alpha", type=float, default=ALPHA)
     comp.set_defaults(func=cmd_components)
+    quant = sub.add_parser("quantiles", help="T_FA component quantiles against chi2_1")
+    quant.add_argument("--seed", type=int, default=20260808)
+    quant.add_argument("--nsims", type=int, default=2000)
+    quant.add_argument("--alpha", type=float, default=ALPHA)
+    quant.set_defaults(func=cmd_quantiles)
     spread = sub.add_parser("seed-spread", help="chance of reaching the band edge")
     spread.set_defaults(func=cmd_seed_spread)
     curve = sub.add_parser("power-curve", help="study-2 power of the R tests")

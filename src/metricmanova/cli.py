@@ -29,11 +29,7 @@ from .samples import GroupedMultiSample, distance_profile
 from .simulation import (
     SCENARIO1_STUDIES,
     SCENARIO2_STUDIES,
-    Scenario1Params,
-    Scenario2Params,
     estimate_rejection_rates,
-    gen_scenario1,
-    gen_scenario2,
     scenario_generator,
     study_grid,
 )
@@ -172,15 +168,11 @@ def _null_value(scenario: int, study: int) -> float:
 
 
 def _cmd_simulate(args) -> int:
-    effect = args.effect if args.effect is not None else _null_value(args.scenario, args.study)
-    if args.scenario == 1:
-        params = Scenario1Params.from_effect(args.study, effect, n1=args.n1, n2=args.n2)
-        ms = gen_scenario1(params, args.seed)
-    else:
-        params = Scenario2Params.from_effect(
-            args.study, effect, nodes=args.nodes, n1=args.n1, n2=args.n2
-        )
-        ms = gen_scenario2(params, args.seed)
+    null = _null_value(args.scenario, args.study)  # validates the study id
+    effect = null if args.effect is None else args.effect
+    ms = scenario_generator(
+        args.scenario, args.study, effect, n1=args.n1, n2=args.n2, nodes=args.nodes
+    )(args.seed)
     save_msd(args.out, ms)
     return 0
 

@@ -171,6 +171,8 @@ def loads_msd(text: str) -> GroupedMultiSample:
             if len(head) != 5 or head[3] != word:
                 raise DataError(f"space {sid}: expected '{word} <count>' in header")
             size = _positive_int(head[4], f"space {sid}: {word}")
+        elif len(head) != 3 and kind in ("gaussian", "distances"):
+            raise DataError(f"space {sid}: unexpected words after '{kind}' in header")
         if kind == "gaussian":
             rows = np.stack([_floats(rd.next("gaussian row"), 2, f"space {sid}") for _ in range(n)])
             spaces.append(gaussian_space(sid, rows))

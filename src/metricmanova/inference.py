@@ -17,21 +17,23 @@ Statistic families
 
 Tests
 -----
-``R_Euc``/``R_AIRM``/``R_LERM`` combine three permutation p-values (mean,
-covariance, correlation) with a Bonferroni correction at level alpha/3.
-``T_FA`` compares each of the S(S+1)/2 ANOVA statistics against the
-chi-square upper quantile at level 2*alpha/(S(S+1)); ``T_FA_perm`` compares
-the same statistics against their permutation distributions.  ``Pillai`` is
-permutation-calibrated at level alpha and ``Pillai_d`` uses the F
-approximation.
+Every test is a Bonferroni composite: each of its components is judged at
+level alpha / (number of components), and the test rejects if any component
+does.  ``R_Euc``/``R_AIRM``/``R_LERM`` have three permutation-calibrated
+components (mean, covariance, correlation).  ``T_FA`` compares each of the
+S(S+1)/2 ANOVA statistics against the chi-square upper quantile at that
+level; ``T_FA_perm`` compares the same statistics against their permutation
+distributions.  ``Pillai`` is permutation-calibrated and ``Pillai_d`` uses
+the F approximation; each has one component.
 
 Permutation p-values use the add-one estimator (1 + #{perm >= obs})/(B + 1),
 with one set of label shuffles shared by all components of a test.  Replicate
 ``b``'s shuffle is drawn from an independent stream derived from ``(seed, b)``,
 so p-values depend only on the data, the seed, and B.  Degenerate replicates
 (NaN, inf, or an invalid matrix) are dropped from the count; more than 20% of
-them raises :class:`UnstableStatisticError`.  A non-finite observed statistic
-raises :class:`DegenerateDataError`, since no count can make it significant.
+them raises :class:`UnstableStatisticError`.  A non-finite or invalid observed
+statistic raises :class:`DegenerateDataError` (:class:`SingularMatrixError`
+for an R component), since no count can make it significant.
 
 Each statistic has one implementation, on a stack of L labelings
 (``_r_stack``, ``_fa_stack``, ``_pillai_stack``), and ``_perm_p`` is the one
@@ -234,7 +236,9 @@ def _check_pillai_d_size(n: int, J: int, S: int) -> None:
         raise ValueError(f"need n - J - S >= 1 (n={n}, J={J}, S={S})")
 
 
-def _pillai_f_approx(V: float, S: int, J: int, n: int) -> Tuple[float, int, int, float]:
+def _pillai_d(mom: MomentStack, S: int, J: int, n: int) -> Tuple[float, float]:
+    """Pillai trace of row 0's distance profile and its F-approximation p-value."""
+    V = _pillai_trace(mom.counts[0], mom.col_mean[0], mom.centered_cov[0], n)
     p, q = S, J - 1
     s = min(p, q)
     m = (abs(p - q) - 1) / 2.0
@@ -248,31 +252,34 @@ def _pillai_f_approx(V: float, S: int, J: int, n: int) -> Tuple[float, int, int,
     df1 = int(round(s * (2 * m + s + 1)))
     df2 = int(round(s * (2 * r + s + 1)))
     # the floor keeps reported p-values strictly positive under underflow
-    return F, df1, df2, max(f_sf(F, df1, df2), 5e-324)
+    return V, max(f_sf(F, df1, df2), 5e-324)
 
 
 # -- public statistic operations ----------------------------------------------
 
 
-def _fa_for(ms: GroupedMultiSample) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _fa_name(s: int, t: int) -> str:
+    return f"T_{s + 1}" if s == t else f"T_{s + 1}_{t + 1}"
+
+
+def _anova_cell(ms: GroupedMultiSample, s: int, t: int) -> Tuple[float, float, float]:
+    """(F, U, T) of the ANOVA cell (s, t): a variance if s == t, else a covariance."""
     if ms.n_groups < 2:
         raise ValueError("at least two groups are required")
+    for idx in (s, t):
+        if not (0 <= idx < ms.n_spaces):
+            raise ValueError(f"space index {idx} out of range")
     engine = StatEngine(ms)
     mom = engine.moments(ms.codes[None, :], want_cor=False, want_moment_var=True)
     F, U, T, valid = _fa_stack(mom, engine.pooled_cov, ms.n)
-    return F[0], U[0], T[0], valid[0]
+    if not valid[0, s, t]:
+        raise DegenerateDataError(f"component {_fa_name(s, t)}: degenerate moment variance")
+    return float(F[0, s, t]), float(U[0, s, t]), float(T[0, s, t])
 
 
 def anova_stats_variance(ms: GroupedMultiSample, s: int) -> Tuple[float, float, float]:
     """(F, U, T) for the variance comparison in space ``s`` (0-based)."""
-    F, U, T, valid = _fa_for(ms)
-    if not (0 <= s < ms.n_spaces):
-        raise ValueError(f"space index {s} out of range")
-    if not valid[s, s]:
-        raise DegenerateDataError(
-            f"degenerate moment variance for space {s}; T_{s + 1} undefined"
-        )
-    return float(F[s, s]), float(U[s, s]), float(T[s, s])
+    return _anova_cell(ms, s, s)
 
 
 def anova_stats_covariance(
@@ -281,16 +288,7 @@ def anova_stats_covariance(
     """(F, U, T) for the covariance comparison of spaces ``s`` and ``s2``."""
     if s == s2:
         raise ValueError("covariance statistics need two distinct spaces")
-    F, U, T, valid = _fa_for(ms)
-    for idx in (s, s2):
-        if not (0 <= idx < ms.n_spaces):
-            raise ValueError(f"space index {idx} out of range")
-    if not valid[s, s2]:
-        raise DegenerateDataError(
-            f"degenerate moment variance for space pair ({s}, {s2}); "
-            f"T_{s + 1}_{s2 + 1} undefined"
-        )
-    return float(F[s, s2]), float(U[s, s2]), float(T[s, s2])
+    return _anova_cell(ms, s, s2)
 
 
 def r_statistic(
@@ -350,9 +348,7 @@ def pillai_distance(ms: GroupedMultiSample) -> Tuple[float, float]:
     _check_pillai_d_size(ms.n, ms.n_groups, ms.n_spaces)
     engine = StatEngine(ms)
     mom = engine.moments(ms.codes[None, :], want_cor=False, want_moment_var=False)
-    V = _pillai_trace(mom.counts[0], mom.col_mean[0], mom.centered_cov[0], ms.n)
-    _, _, _, p = _pillai_f_approx(V, ms.n_spaces, ms.n_groups, ms.n)
-    return V, p
+    return _pillai_d(mom, ms.n_spaces, ms.n_groups, ms.n)
 
 
 def permutation_pvalue(
@@ -410,7 +406,7 @@ def _perm_p(
 def _fa_components(S: int) -> Dict[str, Tuple[int, int]]:
     """The (s, t) entry of the T matrix behind each ANOVA component, in order."""
     pairs = [(s, s) for s in range(S)] + [(s, t) for s in range(S) for t in range(s + 1, S)]
-    return {(f"T_{s + 1}" if s == t else f"T_{s + 1}_{t + 1}"): (s, t) for s, t in pairs}
+    return {_fa_name(s, t): (s, t) for s, t in pairs}
 
 
 def _r_name(kind: str, target: str) -> str:
@@ -516,22 +512,18 @@ def run_tests(
         )
         if start == 0:
             # observed statistics, with strict degeneracy errors
-            for kind in r_kinds:
-                for target in R_TARGETS:
-                    values, valid = cells[_r_name(kind, target)]
-                    if not valid[0] or not np.isfinite(values[0]):
+            for comp_name, (values, valid) in cells.items():
+                if not valid[0] or not np.isfinite(values[0]):
+                    if comp_name.startswith("R_"):
                         raise SingularMatrixError(
-                            f"component R_{target}_{kind}: singular or degenerate "
+                            f"component {comp_name}: singular or degenerate "
                             "matrix; consider ridge repair"
                         )
-            for comp_name in fa_cells:
-                if not np.isfinite(cells[comp_name][0][0]):
                     raise DegenerateDataError(
-                        f"component {comp_name}: degenerate moment variance"
+                        f"component {comp_name}: observed statistic {values[0]!r}"
                     )
             if "Pillai_d" in names:
-                V = _pillai_trace(mom.counts[0], mom.col_mean[0], mom.centered_cov[0], n)
-                _, _, _, pillai_d_p = _pillai_f_approx(V, S, J, n)
+                pillai_d = _pillai_d(mom, S, J, n)
             table = {c: (np.empty(rows), np.empty(rows, dtype=bool)) for c in cells}
         for comp_name, (values, valid) in cells.items():
             table[comp_name][0][start:stop] = values
@@ -539,18 +531,15 @@ def run_tests(
 
     reports = []
     for name in names:
-        if name.startswith("R_"):
-            level = alpha / 3.0
-        elif name.startswith("T_FA"):
-            level = 2.0 * alpha / (S * (S + 1))
-        else:
-            level = alpha
+        comp_names = _component_names(name, S)
+        level = alpha / len(comp_names)
         threshold = chi2_upper_quantile(J - 1, level) if name == "T_FA" else None
         components = []
         used = []  # valid replicates per permutation-calibrated component
-        for comp_name in _component_names(name, S):
+        for comp_name in comp_names:
             if name == "Pillai_d":
-                statistic, p, reject = V, pillai_d_p, pillai_d_p <= level
+                statistic, p = pillai_d
+                reject = p <= level
             else:
                 values, valid = table[comp_name]
                 statistic = float(values[0])

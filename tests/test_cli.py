@@ -184,6 +184,26 @@ class TestExitCodes:
         bad.write_text(text)
         assert run_cli(["test", "--input", str(bad), "--seed", "1"]) == 2
 
+    @pytest.mark.parametrize("header", ["space X gaussian dim 7", "space X distances nodes 9"])
+    def test_extra_words_in_space_header(self, tmp_path, header):
+        rows = ["0.0 1.0"] * 4 if "gaussian" in header else ["1.0", "1.0 1.0", "1.0 1.0 1.0"]
+        lines = ["msd 1", "observations 4", "spaces 1", "labels 1 1 2 2", header] + rows
+        text = "\n".join(lines) + "\n"
+        with pytest.raises(DataError, match="^space X: ") as info:
+            loads_msd(text)
+        assert type(info.value) is DataError
+        bad = tmp_path / "bad.msd"
+        bad.write_text(text)
+        assert run_cli(["test", "--input", str(bad), "--seed", "1"]) == 2
+
+    @pytest.mark.parametrize("effect", [[], ["--effect", "0.5"]])
+    def test_unknown_simulation_study_is_usage_error(self, tmp_path, effect):
+        # the study id is checked before the effect reaches the generator
+        assert run_cli([
+            "simulate", "--scenario", "1", "--study", "9", "--seed", "1",
+            "--out", str(tmp_path / "d.msd"),
+        ] + effect) == 1
+
     @pytest.mark.parametrize("S", [4, 7])  # n - J - S = 0 and -3
     def test_pillai_d_sample_too_small(self, tmp_path, S):
         rng = np.random.default_rng(5)

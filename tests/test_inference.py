@@ -8,7 +8,11 @@ import pytest
 
 from metricmanova import engine, inference
 from metricmanova.engine import StatEngine
-from metricmanova.errors import DegenerateDataError, UnstableStatisticError
+from metricmanova.errors import (
+    DegenerateDataError,
+    SingularMatrixError,
+    UnstableStatisticError,
+)
 from metricmanova.estimators import MomentSet, moment_set
 from metricmanova.inference import (
     R_TARGETS,
@@ -591,26 +595,38 @@ class TestRunTest:
 
     def test_report_structure_and_levels(self):
         rng = np.random.default_rng(76)
-        ms = random_two_group_ms(rng)
-        alpha = 0.05
-        for name in TEST_NAMES:
-            report = run_test(name, ms, alpha=alpha, B=19, seed=2)
-            assert report.test_name == name
-            assert report.global_reject == any(c.reject for c in report.components)
-            for c in report.components:
-                if c.p_value is not None:
-                    assert 0.0 < c.p_value <= 1.0
-            if name.startswith("R_"):
-                assert len(report.components) == 3
-                assert all(c.level == pytest.approx(alpha / 3) for c in report.components)
-            elif name.startswith("T_FA"):
-                assert len(report.components) == 3  # S=2: T_1, T_2, T_1_2
-                assert all(
-                    c.level == pytest.approx(2 * alpha / 6) for c in report.components
-                )
-            else:
-                assert len(report.components) == 1
-                assert report.components[0].level == pytest.approx(alpha)
+        for S in (1, 2, 3):
+            spaces = [euclidean_space(f"e{s}", rng.normal(size=(32, s + 1))) for s in range(S)]
+            ms = GroupedMultiSample(spaces, [1] * 14 + [2] * 18)
+            for alpha in (0.01, 0.05, 0.1, 0.3):
+                reports = run_tests(TEST_NAMES, ms, alpha=alpha, B=19, seed=2)
+                assert [r.test_name for r in reports] == list(TEST_NAMES)
+                for report in reports:
+                    name = report.test_name
+                    assert report.global_reject == any(c.reject for c in report.components)
+                    for c in report.components:
+                        if c.p_value is not None:
+                            assert 0.0 < c.p_value <= 1.0
+                    # the Bonferroni level of each component, bit for bit
+                    if name.startswith("R_"):
+                        n_comp, level = 3, alpha / 3.0
+                    elif name.startswith("T_FA"):
+                        n_comp, level = S * (S + 1) // 2, 2.0 * alpha / (S * (S + 1))
+                    else:
+                        n_comp, level = 1, alpha
+                    assert len(report.components) == n_comp
+                    assert all(c.level == level for c in report.components)
+
+    @pytest.mark.parametrize("kind", ["AIRM", "LERM"])
+    def test_singular_observed_r_component_is_named_as_reported(self, kind):
+        # two identical spaces make the pooled profile covariance singular
+        rng = np.random.default_rng(86)
+        x = rng.normal(size=(20, 2))
+        ms = GroupedMultiSample(
+            [euclidean_space("a", x), euclidean_space("b", x)], [1] * 10 + [2] * 10
+        )
+        with pytest.raises(SingularMatrixError, match=f"component R_mu_{kind}: .*ridge"):
+            run_test(f"R_{kind}", ms, B=19, seed=3)
 
     def test_identical_duplicated_groups_never_reject(self):
         rng = np.random.default_rng(77)

@@ -329,19 +329,25 @@ class TestRejectionRates:
             estimate_rejection_rate("nope", gen, nsims=2, seed=1)
 
 
-def tfa_null_rejections(seed, nsims, alpha=0.05):
-    """(component names, 0/1 array nsims x 3) for T_FA at the scenario-1 null.
+def tfa_null_reports(seed, nsims, alpha=0.05):
+    """T_FA's reports on ``nsims`` scenario-1 null replicates.
 
     Replicate k's data comes from ``spawn_seed(seed, DATA_STREAM, k)``, as in
     ``estimate_rejection_rates``; T_FA needs no permutations, so at seed
-    20260808 the first 1000 rows are the T_FA rejections criterion 1 counts.
+    20260808 the first 1000 reports are the T_FA decisions criterion 1 counts.
     """
     gen = scenario_generator(1, 1, 0.0, n1=100, n2=100)
-    rows = []
-    for k in range(nsims):
-        report = run_tests(["T_FA"], gen(spawn_seed(seed, DATA_STREAM, k)), alpha=alpha)[0]
-        rows.append([int(c.reject) for c in report.components])
-    return [c.name for c in report.components], np.array(rows)
+    return [
+        run_tests(["T_FA"], gen(spawn_seed(seed, DATA_STREAM, k)), alpha=alpha)[0]
+        for k in range(nsims)
+    ]
+
+
+def tfa_null_rejections(seed, nsims, alpha=0.05):
+    """(component names, 0/1 array nsims x 3) for T_FA at the scenario-1 null."""
+    reports = tfa_null_reports(seed, nsims, alpha)
+    rows = [[int(c.reject) for c in report.components] for report in reports]
+    return [c.name for c in reports[0].components], np.array(rows)
 
 
 class TestChiSquareAnovaCalibration:
