@@ -6,8 +6,9 @@ for a whole stack of labelings at once, through one (labelings, groups, n)
 membership mask.  A group sum ``masks @ A`` gives both kinds of mean: with the
 coordinates of an L2-embedded space (Gaussian-W2, Euclidean-L2, Laplacian-
 Frobenius) as ``A`` it gives the centroids, and with the squared distance
-matrix of any other space it gives each candidate's objective, whose argmin
-inside the group is the medoid.  Only spaces with a user-supplied exact-mean
+matrix of any other space each candidate's objective; the medoid is the
+lowest-index member within 2(n_j - 1)·eps·min of the group's least objective,
+whatever the summation order.  Only spaces with a user-supplied exact-mean
 solver keep a loop over labelings and groups.  ``moments`` walks the
 labelings in chunks small enough that each chunk's temporaries stay
 resident in a core's L2 cache; that bounds memory too, but the point is
@@ -33,7 +34,7 @@ from typing import Optional
 
 import numpy as np
 
-from .samples import GroupedMultiSample, frechet_mean
+from .samples import GroupedMultiSample, _clipped_squares, _medoids, frechet_mean
 
 # a group moment-variance below this relative level counts as degenerate
 DEGENERATE_REL_TOL = 1.0e-10
@@ -102,11 +103,8 @@ class StatEngine:
         self.pooled_profile = np.column_stack(cols)
         self.pooled_cov = self.pooled_profile.T @ self.pooled_profile / self.n
         self._embeddings = [sp.embedding for sp in ms.spaces]
-        # medoid spaces: squared distances, clipped at the largest float so
-        # that an overflowed square never meets a zero mask entry (0 * inf)
-        big = np.finfo(float).max
         self._squares = [
-            None if sp.has_exact_mean else np.minimum(np.square(sp.pairwise()), big)
+            None if sp.has_exact_mean else _clipped_squares(sp.pairwise())
             for sp in ms.spaces
         ]
 
@@ -117,6 +115,8 @@ class StatEngine:
     ) -> np.ndarray:
         """(L, n, S) distances from each observation to its group mean.
 
+        A medoid is the lowest-index member whose group sum of squared
+        distances lies within 2(n_j - 1)·eps·min of the group's least sum.
         ``masks`` may pass in ``_group_masks(codes, J)`` when the caller has it.
         """
         codes = np.asarray(codes, dtype=np.int64)
@@ -138,12 +138,7 @@ class StatEngine:
                         idx = np.flatnonzero(codes[l] == j)
                         out[l, idx, s] = sp.distances_to(sp.mean_of(idx), idx)
             else:
-                # medoid: the member with the least group sum of squared
-                # distances, lowest index on ties.  Clipping the sums keeps
-                # every member below the +inf that non-members get.
-                sums = np.minimum(masks @ self._squares[s], np.finfo(float).max)
-                sums[masks == 0.0] = np.inf
-                medoids = np.argmin(sums, axis=2)
+                medoids = _medoids(masks, self._squares[s])
                 out[:, :, s] = sp.pairwise()[np.arange(n), medoids[rows, codes]]
         return out
 

@@ -15,7 +15,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .engine import StatEngine
+from .engine import MomentStack, StatEngine
 from .errors import DataError, DegenerateDataError
 from .samples import (
     DistanceProfile,
@@ -99,32 +99,44 @@ def covariance_matrix(profile) -> SpdMatrix:
     return SpdMatrix(values.T @ values / n)
 
 
+def _row0(name: str) -> property:
+    """A read-only view of row 0 of the ``stack`` field ``name``."""
+    return property(lambda self: getattr(self.stack, name)[0])
+
+
 @dataclass(frozen=True)
 class MomentSet:
     """All first- and second-order group moments of a multisample.
 
-    ``group_cov[j]`` is group j's Fréchet covariance matrix (variances on the
-    diagonal), ``group_cor[j]`` its centered correlation matrix, and
-    ``moment_var[j]`` the moment-variance estimates for every covariance
-    entry.  ``pooled_cov`` is built from distances to the all-observations
-    pooled means, while ``weighted_cov`` is the group-proportion-weighted
-    average of the group matrices.
+    The group moments read row 0 of ``stack``, the engine's moments of the
+    observed labeling.  ``group_cov[j]`` is group j's Fréchet covariance
+    matrix (variances on the diagonal), ``group_cor[j]`` its centered
+    correlation matrix, and ``moment_var[j]`` the moment-variance estimates
+    for every covariance entry.  ``pooled_cov`` is built from distances to
+    the all-observations pooled means, while ``weighted_cov`` is the
+    group-proportion-weighted average of the group matrices.
     """
 
+    stack: MomentStack
     group_ids: np.ndarray
-    counts: np.ndarray  # (J,)
-    gammas: np.ndarray  # (J,)
     group_means: Tuple[Tuple[FrechetMeanResult, ...], ...]  # [group][space]
     pooled_means: Tuple[FrechetMeanResult, ...]  # [space]
-    group_cov: np.ndarray  # (J, S, S)
-    group_cor: np.ndarray  # (J, S, S)
-    moment_var: np.ndarray  # (J, S, S)
     pooled_cov: np.ndarray  # (S, S)
-    weighted_cov: np.ndarray  # (S, S)
+
+    gammas = _row0("gammas")  # (J,)
+    group_cov = _row0("group_cov")  # (J, S, S)
+    group_cor = _row0("group_cor")  # (J, S, S)
+    moment_var = _row0("moment_var")  # (J, S, S)
+    weighted_cov = _row0("weighted_cov")  # (S, S)
+
+    @property
+    def counts(self) -> np.ndarray:
+        """(J,) int64 group sizes."""
+        return self.stack.counts[0].astype(np.int64)
 
     @property
     def n_groups(self) -> int:
-        return len(self.counts)
+        return len(self.group_ids)
 
     @property
     def n_spaces(self) -> int:
@@ -134,18 +146,6 @@ class MomentSet:
     def group_variances(self) -> np.ndarray:
         """(J, S) per-group Fréchet variances (the covariance diagonals)."""
         return np.einsum("jss->js", self.group_cov)
-
-    def group_cov_matrix(self, j: int) -> SpdMatrix:
-        return SpdMatrix(self.group_cov[j])
-
-    def group_cor_matrix(self, j: int) -> SpdMatrix:
-        return SpdMatrix(self.group_cor[j])
-
-    def pooled_cov_matrix(self) -> SpdMatrix:
-        return SpdMatrix(self.pooled_cov)
-
-    def weighted_cov_matrix(self) -> SpdMatrix:
-        return SpdMatrix(self.weighted_cov)
 
 
 def moment_set(ms: GroupedMultiSample) -> MomentSet:
@@ -176,14 +176,9 @@ def moment_set(ms: GroupedMultiSample) -> MomentSet:
         for j in range(ms.n_groups)
     )
     return MomentSet(
+        stack=mom,
         group_ids=ms.group_ids,
-        counts=ms.counts.copy(),
-        gammas=ms.gammas.copy(),
         group_means=group_means,
         pooled_means=tuple(engine.pooled_means),
-        group_cov=mom.group_cov[0],
-        group_cor=mom.group_cor[0],
-        moment_var=mom.moment_var[0],
         pooled_cov=engine.pooled_cov,
-        weighted_cov=mom.weighted_cov[0],
     )

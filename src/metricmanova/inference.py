@@ -295,7 +295,6 @@ def r_statistic(
     kind: str,
     target: str,
     moments: MomentSet,
-    gammas: Optional[np.ndarray] = None,
     *,
     ridge: bool = False,
 ) -> float:
@@ -309,10 +308,6 @@ def r_statistic(
         raise ValueError(f"unknown kind {kind!r}; expected one of {SPD_KINDS}")
     if target not in R_TARGETS:
         raise ValueError(f"unknown target {target!r}; expected one of {R_TARGETS}")
-    J = moments.n_groups
-    gammas = np.asarray(moments.gammas if gammas is None else gammas, dtype=float)
-    if gammas.shape != (J,):
-        raise ValueError(f"gammas must have shape ({J},)")
     checked = {
         "mean": (moments.pooled_cov, moments.weighted_cov),
         "cov": moments.group_cov,
@@ -320,15 +315,8 @@ def r_statistic(
     }[target]
     for mat in checked:
         as_spd(mat)  # asymmetric, indefinite or non-finite input raises
-    mom = MomentStack(
-        counts=moments.counts[None],
-        gammas=gammas[None],
-        group_cov=moments.group_cov[None],
-        weighted_cov=moments.weighted_cov[None],
-        group_cor=moments.group_cor[None],
-        cor_valid=np.ones((1, J), dtype=bool),
-    )
-    vals, ok = _r_stack(mom, moments.pooled_cov, (kind,), (target,), ridge=ridge)[(kind, target)]
+    cells = _r_stack(moments.stack, moments.pooled_cov, (kind,), (target,), ridge=ridge)
+    vals, ok = cells[(kind, target)]
     if not ok[0]:
         raise SingularMatrixError(f"R_{target}_{kind}: singular matrix; consider ridge repair")
     return float(vals[0])
@@ -337,7 +325,7 @@ def r_statistic(
 def pillai_adapted(moments: MomentSet) -> float:
     """S - tr(Sigma_g Sigma_p^-1); near zero when groups share moments."""
     pooled_inv = _pooled_inverse(moments.pooled_cov)
-    return float(_pillai_stack(moments.weighted_cov[None], pooled_inv)[0])
+    return float(_pillai_stack(moments.stack.weighted_cov, pooled_inv)[0])
 
 
 def pillai_distance(ms: GroupedMultiSample) -> Tuple[float, float]:

@@ -188,13 +188,36 @@ class FrechetMeanResult:
     ``mean`` is a native object, or the observation index for spaces known
     only through a distance matrix.  ``objective`` is the attained mean of
     squared distances over the subset.  ``solver`` is ``"exact"`` or
-    ``"medoid"``; ``index`` is set when the mean is an observed point.
+    ``"medoid"``; ``index`` is set when the mean is an observed point: the
+    medoid, the lowest-index member whose sum of squared distances lies within
+    2(n_j - 1)·eps·min of the subset's least sum.
     """
 
     mean: Any
     objective: float
     solver: str
     index: Optional[int] = None
+
+
+def _clipped_squares(dist: np.ndarray) -> np.ndarray:
+    """Squared distances, clipped at the largest float so that an overflowed
+    square never meets a zero mask entry (0 * inf) in :func:`_medoids`."""
+    return np.minimum(np.square(dist), np.finfo(float).max)
+
+
+def _medoids(masks: np.ndarray, squares: np.ndarray) -> np.ndarray:
+    """(L, J) medoid of each group of an (L, J, n) stack of 0/1 masks: the
+    lowest-index member whose group sum of ``squares`` lies within
+    2(n_j - 1)·eps·min of the group's least sum, the rounding bound of any
+    n_j-term summation order (Higham 2002, §4.2)."""
+    big = np.finfo(float).max
+    sums = np.minimum(masks @ squares, big)  # members stay below non-members' inf
+    sums[masks == 0.0] = np.inf
+    least = sums.min(axis=2, keepdims=True)
+    slack = 2.0 * (masks.sum(axis=2, keepdims=True) - 1.0) * np.finfo(float).eps
+    # capped, or a group whose sums clip to the largest float admits +inf
+    limit = np.minimum(least + slack * least, big)
+    return np.argmin(sums > limit, axis=2)  # the first member within the limit
 
 
 def _check_subset(n: int, subset: Optional[Sequence[int]]) -> np.ndarray:
@@ -212,28 +235,21 @@ def frechet_mean(sample: SpaceSample, subset: Optional[Sequence[int]] = None) ->
     """Fréchet mean of ``sample`` restricted to ``subset`` (default: all).
 
     With an exact solver the returned objective is evaluated at the solver's
-    output; otherwise the sample medoid is returned, ties broken by lowest
-    observation index.
+    output; otherwise the sample medoid is returned: the lowest-index member
+    whose sum of squared distances lies within 2(n_j - 1)·eps·min of the
+    subset's least sum, so near-ties resolve alike on every path.
     """
     idx = _check_subset(sample.n, subset)
     if sample.has_exact_mean:
-        point = sample.mean_of(idx)
+        point, index = sample.mean_of(idx), None
         d = sample.distances_to(point, idx)
-        return FrechetMeanResult(
-            mean=point,
-            objective=float(np.mean(d * d)),
-            solver="exact",
-        )
-    dist = sample.pairwise()
-    sub = dist[np.ix_(idx, idx)]
-    objectives = np.mean(sub * sub, axis=1)
-    k = int(np.argmin(objectives))  # first minimum = lowest index
-    medoid = int(idx[k])
+    else:
+        squares = _clipped_squares(sample.pairwise()[np.ix_(idx, idx)])
+        index = int(idx[_medoids(np.ones((1, 1, idx.size)), squares)[0, 0]])
+        point, d = sample.point(index), sample.pairwise()[idx, index]
+    solver = "exact" if index is None else "medoid"
     return FrechetMeanResult(
-        mean=sample.point(medoid),
-        objective=float(objectives[k]),
-        solver="medoid",
-        index=medoid,
+        mean=point, objective=float(np.mean(d * d)), solver=solver, index=index
     )
 
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from metricmanova import engine, inference
-from metricmanova.engine import StatEngine
+from metricmanova.engine import MomentStack, StatEngine
 from metricmanova.errors import (
     DegenerateDataError,
     SingularMatrixError,
@@ -244,21 +244,25 @@ class TestRStatistic:
                 assert r_statistic(kind, target, m) == pytest.approx(0.0, abs=1e-9)
 
     def _synthetic_moments(self, group_cov, pooled, gammas) -> MomentSet:
+        # a one-row MomentStack, as the engine builds for the observed labeling
         group_cov = np.asarray(group_cov, float)
         J, S, _ = group_cov.shape
         gammas = np.asarray(gammas, float)
-        weighted = np.einsum("j,jst->st", gammas, group_cov)
+        stack = MomentStack(
+            counts=gammas[None] * 100,
+            gammas=gammas[None],
+            group_cov=group_cov[None],
+            weighted_cov=np.einsum("j,jst->st", gammas, group_cov)[None],
+            group_cor=np.broadcast_to(np.eye(S), (1, J, S, S)).copy(),
+            cor_valid=np.ones((1, J), dtype=bool),
+            moment_var=np.ones((1, J, S, S)),
+        )
         return MomentSet(
+            stack=stack,
             group_ids=np.arange(J),
-            counts=(gammas * 100).astype(int),
-            gammas=gammas,
             group_means=tuple(tuple() for _ in range(J)),
             pooled_means=tuple(),
-            group_cov=group_cov,
-            group_cor=np.broadcast_to(np.eye(S), (J, S, S)).copy(),
-            moment_var=np.ones((J, S, S)),
             pooled_cov=np.asarray(pooled, float),
-            weighted_cov=weighted,
         )
 
     def test_airm_cov_closed_form(self):
@@ -296,17 +300,28 @@ class TestRStatistic:
 
     def test_equals_run_tests_statistic_bit_for_bit(self):
         # r_statistic and pillai_adapted are L=1 views of the engine's stacks,
-        # and the ridge repairs AIRM and LERM inputs only, on both paths
+        # and the ridge repairs AIRM and LERM inputs only, on both paths; the
+        # second multisample takes the medoid path
         ms = scenario_generator(1, 2, 2.0, n1=40, n2=40)(3)
-        m = moment_set(ms)
-        for ridge in (False, True):
-            reports = run_tests(["R_Euc", "R_AIRM", "R_LERM"], ms, B=1, seed=0, ridge=ridge)
-            for report in reports:
-                kind = report.test_name[2:]
-                for target, component in zip(R_TARGETS, report.components):
-                    assert r_statistic(kind, target, m, ridge=ridge) == component.statistic
-        pillai = run_test("Pillai", ms, B=1, seed=0).components[0]
-        assert pillai_adapted(m) == pillai.statistic
+        rng = np.random.default_rng(87)
+        pts = rng.normal(size=(45, 3))
+        medoid_ms = GroupedMultiSample(
+            [
+                distance_matrix_space("D", np.abs(pts[:, None] - pts[None]).sum(axis=2)),
+                euclidean_space("e", rng.normal(size=(45, 2))),
+            ],
+            np.repeat([1, 2, 3], 15),
+        )
+        for sample in (ms, medoid_ms):
+            m = moment_set(sample)
+            for ridge in (False, True):
+                names = ["R_Euc", "R_AIRM", "R_LERM"]
+                for report in run_tests(names, sample, B=1, seed=0, ridge=ridge):
+                    kind = report.test_name[2:]
+                    for target, component in zip(R_TARGETS, report.components):
+                        assert r_statistic(kind, target, m, ridge=ridge) == component.statistic
+            pillai = run_test("Pillai", sample, B=1, seed=0).components[0]
+            assert pillai_adapted(m) == pillai.statistic
         assert run_test("R_Euc", ms, B=19, seed=1, ridge=True) == run_test(
             "R_Euc", ms, B=19, seed=1
         )
@@ -337,7 +352,8 @@ class TestPillai:
         expected = 2.0 - np.trace(weighted @ inv)
         rng = np.random.default_rng(68)
         m = moment_set(random_two_group_ms(rng))
-        synthetic = dataclasses.replace(m, pooled_cov=pooled, weighted_cov=weighted)
+        stack = dataclasses.replace(m.stack, weighted_cov=weighted[None])
+        synthetic = dataclasses.replace(m, stack=stack, pooled_cov=pooled)
         assert pillai_adapted(synthetic) == pytest.approx(expected, rel=1e-12)
 
     def test_adapted_toy8_matches_oracle(self):

@@ -6,6 +6,7 @@ import pytest
 from metricmanova import engine
 from metricmanova.engine import StatEngine
 from metricmanova.errors import DataError
+from metricmanova.estimators import moment_set
 from metricmanova.rng import permuted_labels
 from metricmanova.samples import (
     DistanceProfile,
@@ -76,6 +77,27 @@ class TestFrechetMean:
         dist = np.array([[0.0, 2.0], [2.0, 0.0]])
         res = frechet_mean(distance_matrix_space("d", dist))
         assert res.index == 0
+
+    def test_near_tie_names_one_medoid_on_every_path(self):
+        # members 5 and 18 of group 0 both have the decimal group sum 56.15,
+        # whose float sums can differ in the last bit with summation order;
+        # the tie rule takes the lower index on every path
+        rng = np.random.default_rng(1377)
+        n = int(rng.integers(6, 61))
+        q = np.round(rng.uniform(0.1, 3, size=(n, n)), 1)
+        dist = np.triu(q, 1)
+        dist = dist + dist.T
+        ms = GroupedMultiSample([distance_matrix_space("D", dist)], rng.integers(0, 2, size=n))
+        idx = ms.group_indices(0)
+        assert n == 43 and {5, 18} <= set(idx)
+        sums = np.sum(dist[[5, 18]][:, idx] ** 2, axis=1)
+        assert sums == pytest.approx([56.15, 56.15], rel=1e-15)
+        assert oracle_medoid(dist, idx) == 5
+        assert frechet_mean(ms.spaces[0], idx).index == 5
+        assert moment_set(ms).group_means[0][0].index == 5
+        prof = StatEngine(ms).group_profiles(ms.codes[None])[0, idx, 0]
+        assert np.array_equal(prof, dist[idx, 5])
+        assert not np.array_equal(prof, dist[idx, 18])
 
     def test_exact_objective_never_exceeds_medoid(self):
         rng = np.random.default_rng(32)
@@ -263,7 +285,9 @@ class TestGroupProfileKernel:
                 idx = np.flatnonzero(codes[l] == j)
                 objectives = (dist[np.ix_(idx, idx)] ** 2).sum(axis=1)
                 ties += int(np.sum(objectives == objectives.min()) > 1)
-                assert np.array_equal(prof[l, idx, 0], dist[idx, oracle_medoid(dist, idx)])
+                medoid = oracle_medoid(dist, idx)
+                assert np.array_equal(prof[l, idx, 0], dist[idx, medoid])
+                assert frechet_mean(ms.spaces[0], idx).index == medoid
         assert ties > 0
 
     def test_custom_solver_agrees_with_embedded_space(self):
