@@ -23,6 +23,16 @@ pooled mean, and the clipped squared distances of
 medoid spaces, do not depend on the labels, so they are computed once per
 engine.
 
+Most axes here are only 2 or 3 wide (coordinates, spaces, groups), so data
+moves over long axes.  A gather takes one flat row index per observation,
+``labeling * J + group``, into the (L * J, ...) stack of group means or
+medoids, and a medoid distance is one flat index into the distance matrix;
+the profile products fill each unordered space pair once and copy it to its
+mirror.  Both only copy or multiply, so no bit moves.  The 0/1-mask einsums,
+the norm einsum and ``masks @ X`` keep their operand layout and chunking:
+their iteration order defines the bits of every statistic, and with them the
+continuous T_FA and Pillai_d p-values.
+
 Everything here is deterministic: summations run in fixed index order and no
 state is mutated after construction.
 """
@@ -124,12 +134,13 @@ class StatEngine:
         if masks is None:
             masks = _group_masks(codes, self.J)
         counts = masks.sum(axis=2)
-        rows = np.arange(L)[:, None]
+        # row l * J + j of an (L * J, ...) per-group stack is labeling l's group j
+        flat = np.arange(L)[:, None] * self.J + codes
         out = np.empty((L, n, self.S), dtype=float)
         for s, (sp, X) in enumerate(zip(self.ms.spaces, self._embeddings)):
             if X is not None:
                 means = (masks @ X) / counts[:, :, None]
-                diff = means[rows, codes]
+                diff = np.take(means.reshape(L * self.J, X.shape[1]), flat, axis=0)
                 np.subtract(X[None, :, :], diff, out=diff)
                 out[:, :, s] = np.sqrt(np.einsum("lnk,lnk->ln", diff, diff))
             elif sp.has_exact_mean:
@@ -138,8 +149,10 @@ class StatEngine:
                         idx = np.flatnonzero(codes[l] == j)
                         out[l, idx, s] = sp.distances_to(sp.mean_of(idx), idx)
             else:
-                medoids = _medoids(masks, self._squares[s])
-                out[:, :, s] = sp.pairwise()[np.arange(n), medoids[rows, codes]]
+                # observation i's entry of pairwise() lies at i * n + its medoid
+                at = np.take(_medoids(masks, self._squares[s]), flat)
+                at += np.arange(0, n * n, n)
+                out[:, :, s] = np.take(sp.pairwise(), at)
         return out
 
     # -- moments ----------------------------------------------------------------
@@ -163,6 +176,7 @@ class StatEngine:
 
         widths = [S * S, J] + [X.shape[1] for X in self._embeddings if X is not None]
         chunk = max(1, _CHUNK_BUDGET // (n * max(widths)))
+        pairs = [(a, b) for a in range(S) for b in range(a, S)]
         for start in range(0, L, chunk):
             sl = slice(start, min(start + chunk, L))
             c = codes[sl]
@@ -171,7 +185,11 @@ class StatEngine:
             cnt = masks.sum(axis=2)
             counts[sl] = cnt
             col_mean[sl] = np.einsum("cjn,cns->cjs", masks, p) / cnt[:, :, None]
-            prods = p[:, :, :, None] * p[:, :, None, :]
+            prods = np.empty(p.shape + (S,), dtype=float)
+            for a, b in pairs:
+                np.multiply(p[:, :, a], p[:, :, b], out=prods[:, :, a, b])
+                if a != b:
+                    prods[:, :, b, a] = prods[:, :, a, b]
             group_cov[sl] = (
                 np.einsum("cjn,cnst->cjst", masks, prods) / cnt[:, :, None, None]
             )

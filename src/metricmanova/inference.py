@@ -318,7 +318,9 @@ def r_statistic(
     cells = _r_stack(moments.stack, moments.pooled_cov, (kind,), (target,), ridge=ridge)
     vals, ok = cells[(kind, target)]
     if not ok[0]:
-        raise SingularMatrixError(f"R_{target}_{kind}: singular matrix; consider ridge repair")
+        raise SingularMatrixError(
+            f"{_r_name(kind, target)}: singular matrix; consider ridge repair"
+        )
     return float(vals[0])
 
 

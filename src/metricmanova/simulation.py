@@ -296,11 +296,15 @@ def ba_graph(
 def gamma_covariates(
     final_degrees: np.ndarray, nu: float, rng: np.random.Generator
 ) -> np.ndarray:
-    """Node covariates: independent Gamma draws with mean k_f and variance nu."""
-    k = np.asarray(final_degrees, dtype=float)
-    shape = k * k / nu
-    scale = nu / k
-    return rng.gamma(shape, scale)
+    """Node covariates: independent Gamma draws with mean k_f and variance nu.
+
+    One scalar ``rng.gamma`` call per node, in node order: the same values and
+    stream as one array call ``rng.gamma(k * k / nu, nu / k)``, without its
+    per-call array handling.
+    """
+    nu = float(nu)
+    degrees = np.asarray(final_degrees, dtype=float).tolist()
+    return np.array([rng.gamma(d * d / nu, nu / d) for d in degrees], dtype=float)
 
 
 def gen_scenario2(params: Scenario2Params, seed: int) -> GroupedMultiSample:

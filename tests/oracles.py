@@ -2,7 +2,10 @@
 
 These deliberately avoid the package's internals: plain Python loops, scipy
 where convenient.  They exist so the fast library code can be checked against
-straightforward transcriptions of the definitions.
+straightforward transcriptions of the definitions.  The exceptions are
+``oracle_group_profiles`` and ``oracle_moment_stack``: they run the engine's
+own reductions and move the data by fancy indexing and broadcasting, so the
+engine's flat-index gathers and per-pair products must match them bit for bit.
 """
 
 import warnings
@@ -20,6 +23,67 @@ def oracle_medoid(dist, idx):
         if best_obj is None or obj < best_obj - 1e-15:
             best, best_obj = cand, obj
     return best
+
+
+def oracle_group_profiles(ms, codes):
+    """(L, n, S) ``StatEngine.group_profiles`` of centroid and medoid spaces by
+    two-array fancy indexing: ``means[rows, codes]`` for centroids and
+    ``pairwise()[arange(n), medoids[rows, codes]]`` for medoid distances."""
+    from metricmanova.engine import _group_masks
+    from metricmanova.samples import _clipped_squares, _medoids
+
+    L, n = codes.shape
+    masks = _group_masks(codes, ms.n_groups)
+    counts = masks.sum(axis=2)
+    rows = np.arange(L)[:, None]
+    out = np.empty((L, n, ms.n_spaces))
+    for s, sp in enumerate(ms.spaces):
+        X = sp.embedding
+        if X is not None:
+            diff = X[None, :, :] - ((masks @ X) / counts[:, :, None])[rows, codes]
+            out[:, :, s] = np.sqrt(np.einsum("lnk,lnk->ln", diff, diff))
+        else:
+            medoids = _medoids(masks, _clipped_squares(sp.pairwise()))
+            out[:, :, s] = sp.pairwise()[np.arange(n), medoids[rows, codes]]
+    return out
+
+
+def oracle_moment_stack(ms, codes):
+    """Every ``MomentStack`` field of ``StatEngine.moments(codes)`` in one chunk,
+    from ``oracle_group_profiles`` and the broadcast product
+    ``p[:, :, :, None] * p[:, :, None, :]``, through the engine's einsums."""
+    from metricmanova.engine import COLUMN_VAR_REL_TOL, _group_masks
+
+    masks = _group_masks(codes, ms.n_groups)
+    p = oracle_group_profiles(ms, codes)
+    counts = masks.sum(axis=2)
+    prods = p[:, :, :, None] * p[:, :, None, :]
+    group_cov = np.einsum("cjn,cnst->cjst", masks, prods) / counts[:, :, None, None]
+    prod_sqmean = np.einsum("cjn,cnst->cjst", masks, prods * prods)
+    prod_sqmean /= counts[:, :, None, None]
+    col_mean = np.einsum("cjn,cns->cjs", masks, p) / counts[:, :, None]
+    gammas = counts / float(ms.n)
+    centered_cov = group_cov - col_mean[:, :, :, None] * col_mean[:, :, None, :]
+    var = np.einsum("ljss->ljs", centered_cov)
+    ok = var > COLUMN_VAR_REL_TOL * np.maximum(np.einsum("ljss->ljs", group_cov), 1.0e-300)
+    cor_valid = np.all(ok, axis=2)
+    sd = np.sqrt(np.where(var > 0, var, 1.0))
+    group_cor = centered_cov / (sd[:, :, :, None] * sd[:, :, None, :])
+    diag = np.arange(ms.n_spaces)
+    group_cor[:, :, diag, diag] = 1.0
+    group_cor[~cor_valid] = np.nan
+    return dict(
+        counts=counts,
+        gammas=gammas,
+        group_cov=group_cov,
+        weighted_cov=np.einsum("lj,ljst->lst", gammas, group_cov),
+        col_mean=col_mean,
+        centered_cov=centered_cov,
+        group_cor=group_cor,
+        cor_valid=cor_valid,
+        moment_var=prod_sqmean - group_cov**2,
+        prod_sqmean=prod_sqmean,
+    )
 
 
 def oracle_profiles_from_matrices(dists, labels):
@@ -234,6 +298,12 @@ def oracle_ba_graph(gamma, nodes, rng):
     return np.diag(adj.sum(axis=1)) - adj, degrees
 
 
+def oracle_gamma_covariates(degrees, nu, rng):
+    """Node covariates of degrees k: one array draw ``gamma(k * k / nu, nu / k)``."""
+    k = np.asarray(degrees, dtype=float)
+    return rng.gamma(k * k / nu, nu / k)
+
+
 def oracle_scenario2(params, rng):
     """(Laplacians, covariates, labels) of a scenario-2 dataset, tree by tree:
     per tree the walk's uniforms, then one ``gamma`` draw of size ``nodes``."""
@@ -245,5 +315,5 @@ def oracle_scenario2(params, rng):
         for _ in range(size):
             lap, k = oracle_ba_graph(gamma, params.nodes, rng)
             laps.append(lap)
-            covs.append(rng.gamma(k * k / nu, nu / k))
+            covs.append(oracle_gamma_covariates(k, nu, rng))
     return np.stack(laps), np.stack(covs), np.repeat([1, 2], [params.n1, params.n2])

@@ -643,6 +643,9 @@ class TestRunTest:
         )
         with pytest.raises(SingularMatrixError, match=f"component R_mu_{kind}: .*ridge"):
             run_test(f"R_{kind}", ms, B=19, seed=3)
+        # the scalar helper names the component the same way
+        with pytest.raises(SingularMatrixError, match=f"^R_mu_{kind}: .*ridge"):
+            r_statistic(kind, "mean", moment_set(ms))
 
     def test_identical_duplicated_groups_never_reject(self):
         rng = np.random.default_rng(77)

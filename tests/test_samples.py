@@ -23,7 +23,7 @@ from metricmanova.spaces import (
     gaussian_space,
 )
 
-from oracles import oracle_medoid
+from oracles import oracle_group_profiles, oracle_medoid, oracle_moment_stack
 
 
 def brute_force_medoid(dist, idx):
@@ -242,7 +242,8 @@ class TestDistanceProfile:
 class TestGroupProfileKernel:
     """``StatEngine.group_profiles`` and ``moments`` on 40 permuted labelings
     of J=3 groups, one space of each kind: medoid, centroid, custom solver;
-    and the chunk layout of ``moments`` at k=100."""
+    the chunk layout of ``moments`` at k=100; and the flat-index gathers and
+    per-pair products against fancy indexing and broadcasting, bit for bit."""
 
     L = 40
 
@@ -289,6 +290,31 @@ class TestGroupProfileKernel:
                 assert np.array_equal(prof[l, idx, 0], dist[idx, medoid])
                 assert frechet_mean(ms.spaces[0], idx).index == medoid
         assert ties > 0
+
+    @pytest.mark.parametrize("L", [1, 40])
+    @pytest.mark.parametrize("J", [2, 3])
+    @pytest.mark.parametrize("S", [1, 2, 3])
+    @pytest.mark.parametrize("k", [1, 2, 3, 100])
+    def test_flat_gathers_and_pair_products_match_fancy_indexing(self, k, S, J, L):
+        # the first S of: k-dimensional coordinates far from the origin, a
+        # distance matrix with tied medoid objectives, 2-D coordinates
+        rng = np.random.default_rng(1000 * k + 100 * S + 10 * J + L)
+        n = 30
+        upper = np.triu(rng.integers(1, 4, size=(n, n)).astype(float), 1)
+        spaces = [
+            euclidean_space("E", rng.normal(size=(n, k)) * 3.0 + 50.0),
+            distance_matrix_space("D", upper + upper.T),
+            euclidean_space("F", rng.normal(size=(n, 2))),
+        ][:S]
+        ms = GroupedMultiSample(spaces, np.arange(n) % J)
+        codes = np.stack([permuted_labels(ms.codes, 7, b) for b in range(L)])
+        eng = StatEngine(ms)
+        assert np.array_equal(eng.group_profiles(codes), oracle_group_profiles(ms, codes))
+        stack = vars(eng.moments(codes))
+        expected = oracle_moment_stack(ms, codes)
+        assert stack.keys() == expected.keys()
+        for name, value in expected.items():
+            assert np.array_equal(stack[name], value, equal_nan=True), name
 
     def test_custom_solver_agrees_with_embedded_space(self):
         ms = self._multisample()

@@ -26,7 +26,7 @@ from metricmanova.simulation import (
 )
 from metricmanova.spaces import LaplacianMatrix, euclidean_space, laplacian_space
 
-from oracles import oracle_ba_graph, oracle_scenario2
+from oracles import oracle_ba_graph, oracle_gamma_covariates, oracle_scenario2
 
 
 class TestBivariateNormal:
@@ -163,6 +163,17 @@ class TestGammaCovariates:
         m = draws.shape[0]
         assert np.allclose(draws.mean(axis=0), kf, atol=3 * math.sqrt(nu / m) + 1e-9)
         assert np.allclose(draws.var(axis=0), nu, rtol=0.08)
+
+    def test_scalar_draws_keep_the_array_stream(self):
+        # the values and the generator state after them equal one array call's
+        pick = np.random.default_rng(12)
+        for trial in range(300):
+            k = pick.integers(1, 12, size=pick.integers(1, 16)).astype(float)
+            nu = pick.uniform(0.05, 20.0)
+            ours, ref = derive_rng(trial), derive_rng(trial)
+            draws = gamma_covariates(k, nu, ours)
+            assert np.array_equal(draws, oracle_gamma_covariates(k, nu, ref))
+            assert ours.random() == ref.random()
 
 
 class TestGenScenario2:
