@@ -26,12 +26,18 @@ engine.
 Most axes here are only 2 or 3 wide (coordinates, spaces, groups), so data
 moves over long axes.  A gather takes one flat row index per observation,
 ``labeling * J + group``, into the (L * J, ...) stack of group means or
-medoids, and a medoid distance is one flat index into the distance matrix;
-the profile products fill each unordered space pair once and copy it to its
-mirror.  Both only copy or multiply, so no bit moves.  The 0/1-mask einsums,
-the norm einsum and ``masks @ X`` keep their operand layout and chunking:
-their iteration order defines the bits of every statistic, and with them the
-continuous T_FA and Pillai_d p-values.
+medoids, and a medoid distance is one flat index into the distance matrix.
+``moments`` writes one C-contiguous (c, n, F) block per chunk, column by
+column: the S profiles, their S(S+1)/2 unique pair products and, when moment
+variances are wanted, the products' squares.  One 0/1-mask einsum sums every
+column for every group.  Its summation order defines the bits of every
+statistic, and with them the continuous T_FA and Pillai_d p-values, so the
+order is fixed: each group sum adds its members one at a time in observation
+order.  F >= 2 keeps it so: the block's observation axis is then strided, and
+numpy's einsum runs its inner loop over the F columns.  A contiguous
+observation axis, such as a lone profile column, would be summed in numpy's
+unrolled vectorised order instead.  The norm einsum and ``masks @ X`` keep
+their operand layout and chunking.
 
 Everything here is deterministic: summations run in fixed index order and no
 state is mutated after construction.
@@ -51,7 +57,8 @@ DEGENERATE_REL_TOL = 1.0e-10
 # a profile column variance below this relative level has no correlation
 COLUMN_VAR_REL_TOL = 1.0e-14
 
-# float64 elements in a chunk's widest temporary.  128k elements (1 MiB)
+# float64 elements in a chunk's widest temporary, n times the widest of the
+# moment block, the group count and the embeddings.  128k elements (1 MiB)
 # keep a chunk's working set near a 2 MiB per-core L2 cache.  Timing
 # ``moments`` on the perfbench inputs (2-core x86 VM, 2 MiB L2 per core),
 # 64k to 1M elements ran alike; 4M (32 MiB) ran the k=100 stacks 1.25-1.5x
@@ -171,12 +178,15 @@ class StatEngine:
         counts = np.empty((L, J), dtype=float)
         col_mean = np.empty((L, J, S), dtype=float)
         group_cov = np.empty((L, J, S, S), dtype=float)
-        moment_var = np.empty((L, J, S, S), dtype=float) if want_moment_var else None
         prod_sqmean = np.empty((L, J, S, S), dtype=float) if want_moment_var else None
 
-        widths = [S * S, J] + [X.shape[1] for X in self._embeddings if X is not None]
+        # block columns: the S profiles, the P unique pair products and, with
+        # want_moment_var, their squares
+        iu, ju = np.triu_indices(S)
+        P = len(iu)
+        F = S + (2 * P if want_moment_var else P)
+        widths = [F, J] + [X.shape[1] for X in self._embeddings if X is not None]
         chunk = max(1, _CHUNK_BUDGET // (n * max(widths)))
-        pairs = [(a, b) for a in range(S) for b in range(a, S)]
         for start in range(0, L, chunk):
             sl = slice(start, min(start + chunk, L))
             c = codes[sl]
@@ -184,24 +194,27 @@ class StatEngine:
             p = self.group_profiles(c, masks)
             cnt = masks.sum(axis=2)
             counts[sl] = cnt
-            col_mean[sl] = np.einsum("cjn,cns->cjs", masks, p) / cnt[:, :, None]
-            prods = np.empty(p.shape + (S,), dtype=float)
-            for a, b in pairs:
-                np.multiply(p[:, :, a], p[:, :, b], out=prods[:, :, a, b])
-                if a != b:
-                    prods[:, :, b, a] = prods[:, :, a, b]
-            group_cov[sl] = (
-                np.einsum("cjn,cnst->cjst", masks, prods) / cnt[:, :, None, None]
-            )
+            # one write per column: slice writes loop over the narrow F axis
+            # innermost, and ran about 3x slower on an (81, 200, 8) block
+            feats = np.empty(p.shape[:2] + (F,), dtype=float)
+            for s in range(S):
+                feats[:, :, s] = p[:, :, s]
+            for q, (a, b) in enumerate(zip(iu, ju)):
+                np.multiply(p[:, :, a], p[:, :, b], out=feats[:, :, S + q])
+                if want_moment_var:
+                    np.square(feats[:, :, S + q], out=feats[:, :, S + P + q])
+            sums = np.einsum("cjn,cnf->cjf", masks, feats)
+            sums /= cnt[:, :, None]
+            col_mean[sl] = sums[:, :, :S]
+            cov = group_cov[sl]
+            cov[:, :, iu, ju] = cov[:, :, ju, iu] = sums[:, :, S : S + P]
             if want_moment_var:
-                np.multiply(prods, prods, out=prods)
-                sq = np.einsum("cjn,cnst->cjst", masks, prods)
-                sq /= cnt[:, :, None, None]
-                prod_sqmean[sl] = sq
-                moment_var[sl] = sq - group_cov[sl] ** 2
+                sq = prod_sqmean[sl]
+                sq[:, :, iu, ju] = sq[:, :, ju, iu] = sums[:, :, S + P :]
             # free this chunk's temporaries before the next chunk makes its own
-            del p, masks, prods
+            del p, masks, feats, sums
 
+        moment_var = prod_sqmean - group_cov**2 if want_moment_var else None
         gammas = counts / float(n)
         weighted_cov = np.einsum("lj,ljst->lst", gammas, group_cov)
         centered_cov = group_cov - col_mean[:, :, :, None] * col_mean[:, :, None, :]

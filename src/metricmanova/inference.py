@@ -52,6 +52,7 @@ defined on every symmetric matrix and is never ridged.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
@@ -102,6 +103,14 @@ class TestReport:
     global_reject: bool
     permutations_used: int  # fewest valid replicates of any component; 0 if none permuted
     seed: Optional[int]
+
+
+@functools.lru_cache(maxsize=64)
+def _fa_threshold(df: int, level: float) -> float:
+    """χ²_df critical value of each T_FA component at ``level``.  The quantile is
+    a pure-Python bisection (about 1 ms at df = 1), and Monte Carlo loops ask
+    for the same few (df, level) pairs on every replicate."""
+    return chi2_upper_quantile(df, level)
 
 
 # -- stacked statistic evaluation (shared by observed and permuted paths) ----
@@ -523,7 +532,7 @@ def run_tests(
     for name in names:
         comp_names = _component_names(name, S)
         level = alpha / len(comp_names)
-        threshold = chi2_upper_quantile(J - 1, level) if name == "T_FA" else None
+        threshold = _fa_threshold(J - 1, level) if name == "T_FA" else None
         components = []
         used = []  # valid replicates per permutation-calibrated component
         for comp_name in comp_names:

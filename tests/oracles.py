@@ -3,9 +3,13 @@
 These deliberately avoid the package's internals: plain Python loops, scipy
 where convenient.  They exist so the fast library code can be checked against
 straightforward transcriptions of the definitions.  The exceptions are
-``oracle_group_profiles`` and ``oracle_moment_stack``: they run the engine's
-own reductions and move the data by fancy indexing and broadcasting, so the
-engine's flat-index gathers and per-pair products must match them bit for bit.
+``oracle_group_profiles``, ``oracle_moment_stack`` and ``oracle_mask_einsums``:
+they move the data by fancy indexing and broadcasting, and the engine must
+match them bit for bit.  ``oracle_group_profiles`` runs the engine's own
+reductions; ``oracle_moment_stack`` adds each observation to its group in
+index order, the rule that fixes the rounding of every moment; and
+``oracle_mask_einsums`` keeps the three 0/1-mask einsums that summed the
+moments before the engine's single masked reduction.
 """
 
 import warnings
@@ -48,20 +52,11 @@ def oracle_group_profiles(ms, codes):
     return out
 
 
-def oracle_moment_stack(ms, codes):
-    """Every ``MomentStack`` field of ``StatEngine.moments(codes)`` in one chunk,
-    from ``oracle_group_profiles`` and the broadcast product
-    ``p[:, :, :, None] * p[:, :, None, :]``, through the engine's einsums."""
-    from metricmanova.engine import COLUMN_VAR_REL_TOL, _group_masks
+def _moment_fields(ms, counts, col_mean, group_cov, prod_sqmean):
+    """Every ``MomentStack`` field from the group counts and the group means of
+    the profiles, their pair products and the products' squares."""
+    from metricmanova.engine import COLUMN_VAR_REL_TOL
 
-    masks = _group_masks(codes, ms.n_groups)
-    p = oracle_group_profiles(ms, codes)
-    counts = masks.sum(axis=2)
-    prods = p[:, :, :, None] * p[:, :, None, :]
-    group_cov = np.einsum("cjn,cnst->cjst", masks, prods) / counts[:, :, None, None]
-    prod_sqmean = np.einsum("cjn,cnst->cjst", masks, prods * prods)
-    prod_sqmean /= counts[:, :, None, None]
-    col_mean = np.einsum("cjn,cns->cjs", masks, p) / counts[:, :, None]
     gammas = counts / float(ms.n)
     centered_cov = group_cov - col_mean[:, :, :, None] * col_mean[:, :, None, :]
     var = np.einsum("ljss->ljs", centered_cov)
@@ -84,6 +79,53 @@ def oracle_moment_stack(ms, codes):
         moment_var=prod_sqmean - group_cov**2,
         prod_sqmean=prod_sqmean,
     )
+
+
+def oracle_moment_stack(ms, codes):
+    """Every ``MomentStack`` field of ``StatEngine.moments(codes)``, from
+    ``oracle_group_profiles`` and the broadcast product
+    ``p[:, :, :, None] * p[:, :, None, :]``.  Each group sum starts at zero and
+    adds its members one at a time in observation order."""
+    p = oracle_group_profiles(ms, codes)
+    L, n, S = p.shape
+    J = ms.n_groups
+    prods = p[:, :, :, None] * p[:, :, None, :]
+    squares = prods * prods
+    counts = np.zeros((L, J))
+    sums = np.zeros((L, J, S))
+    prod_sums = np.zeros((L, J, S, S))
+    square_sums = np.zeros((L, J, S, S))
+    rows = np.arange(L)
+    for i in range(n):
+        # every labeling adds observation i to its own group
+        g = codes[:, i]
+        counts[rows, g] += 1.0
+        sums[rows, g] += p[:, i]
+        prod_sums[rows, g] += prods[:, i]
+        square_sums[rows, g] += squares[:, i]
+    return _moment_fields(
+        ms,
+        counts,
+        sums / counts[:, :, None],
+        prod_sums / counts[:, :, None, None],
+        square_sums / counts[:, :, None, None],
+    )
+
+
+def oracle_mask_einsums(ms, codes):
+    """``oracle_moment_stack`` through three 0/1-mask einsums over the
+    profiles, the full (S, S) pair products and their squares."""
+    from metricmanova.engine import _group_masks
+
+    masks = _group_masks(codes, ms.n_groups)
+    p = oracle_group_profiles(ms, codes)
+    counts = masks.sum(axis=2)
+    prods = p[:, :, :, None] * p[:, :, None, :]
+    group_cov = np.einsum("cjn,cnst->cjst", masks, prods) / counts[:, :, None, None]
+    prod_sqmean = np.einsum("cjn,cnst->cjst", masks, prods * prods)
+    prod_sqmean /= counts[:, :, None, None]
+    col_mean = np.einsum("cjn,cns->cjs", masks, p) / counts[:, :, None]
+    return _moment_fields(ms, counts, col_mean, group_cov, prod_sqmean)
 
 
 def oracle_profiles_from_matrices(dists, labels):

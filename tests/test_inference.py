@@ -786,7 +786,7 @@ class TestRunTest:
                 tracemalloc.stop()
         assert peaks[1] - peaks[0] < 2 * 2**20
 
-    def test_t_fa_threshold_is_chi2_quantile(self):
+    def test_t_fa_threshold_is_chi2_quantile(self, monkeypatch):
         from metricmanova.distributions import chi2_upper_quantile
 
         rng = np.random.default_rng(81)
@@ -794,8 +794,11 @@ class TestRunTest:
         report = run_test("T_FA", ms, alpha=0.05, B=1, seed=1)
         expected = chi2_upper_quantile(1, 2 * 0.05 / 6)
         for c in report.components:
-            assert c.threshold == pytest.approx(expected)
+            assert c.threshold == expected
         assert report.permutations_used == 0
+        # a repeated (df, level) reads the cached quantile
+        monkeypatch.setattr(inference, "chi2_upper_quantile", None)
+        assert run_test("T_FA", ms, alpha=0.05, B=1, seed=1) == report
 
     def test_degenerate_replicates_abort_above_twenty_percent(self, monkeypatch):
         rng = np.random.default_rng(85)

@@ -23,7 +23,12 @@ from metricmanova.spaces import (
     gaussian_space,
 )
 
-from oracles import oracle_group_profiles, oracle_medoid, oracle_moment_stack
+from oracles import (
+    oracle_group_profiles,
+    oracle_mask_einsums,
+    oracle_medoid,
+    oracle_moment_stack,
+)
 
 
 def brute_force_medoid(dist, idx):
@@ -239,6 +244,19 @@ class TestDistanceProfile:
             DistanceProfile(values=np.array([[-1.0]]), mean_mode="pooled")
 
 
+def _on_kernel_grid(test):
+    """Parametrize ``test`` over the moment-kernel grid, ids ``k-S-J-L``: k
+    coordinates, S spaces (a medoid space from S = 2), J groups, L labelings."""
+    for mark in (
+        pytest.mark.parametrize("k", [1, 2, 3, 100]),
+        pytest.mark.parametrize("S", [1, 2, 3]),
+        pytest.mark.parametrize("J", [2, 3]),
+        pytest.mark.parametrize("L", [1, 40]),
+    ):
+        test = mark(test)
+    return test
+
+
 class TestGroupProfileKernel:
     """``StatEngine.group_profiles`` and ``moments`` on 40 permuted labelings
     of J=3 groups, one space of each kind: medoid, centroid, custom solver;
@@ -291,30 +309,59 @@ class TestGroupProfileKernel:
                 assert frechet_mean(ms.spaces[0], idx).index == medoid
         assert ties > 0
 
-    @pytest.mark.parametrize("L", [1, 40])
-    @pytest.mark.parametrize("J", [2, 3])
-    @pytest.mark.parametrize("S", [1, 2, 3])
-    @pytest.mark.parametrize("k", [1, 2, 3, 100])
-    def test_flat_gathers_and_pair_products_match_fancy_indexing(self, k, S, J, L):
+    @staticmethod
+    def _kernel_sample(k, S, J, L, n):
         # the first S of: k-dimensional coordinates far from the origin, a
         # distance matrix with tied medoid objectives, 2-D coordinates
         rng = np.random.default_rng(1000 * k + 100 * S + 10 * J + L)
-        n = 30
         upper = np.triu(rng.integers(1, 4, size=(n, n)).astype(float), 1)
         spaces = [
             euclidean_space("E", rng.normal(size=(n, k)) * 3.0 + 50.0),
             distance_matrix_space("D", upper + upper.T),
             euclidean_space("F", rng.normal(size=(n, 2))),
         ][:S]
-        ms = GroupedMultiSample(spaces, np.arange(n) % J)
+        return GroupedMultiSample(spaces, np.arange(n) % J)
+
+    def _check_kernels(self, k, S, J, L, n, want_moment_var):
+        ms = self._kernel_sample(k, S, J, L, n)
         codes = np.stack([permuted_labels(ms.codes, 7, b) for b in range(L)])
         eng = StatEngine(ms)
         assert np.array_equal(eng.group_profiles(codes), oracle_group_profiles(ms, codes))
-        stack = vars(eng.moments(codes))
-        expected = oracle_moment_stack(ms, codes)
-        assert stack.keys() == expected.keys()
-        for name, value in expected.items():
-            assert np.array_equal(stack[name], value, equal_nan=True), name
+        stack = vars(eng.moments(codes, want_moment_var=want_moment_var))
+        oracles = [oracle_moment_stack]
+        if S >= 2:
+            # with two or more spaces the old mask einsums summed in order too
+            oracles.append(oracle_mask_einsums)
+        for oracle in oracles:
+            expected = oracle(ms, codes)
+            assert stack.keys() == expected.keys()
+            for name, value in expected.items():
+                if not want_moment_var and name in ("moment_var", "prod_sqmean"):
+                    assert stack[name] is None, name
+                    continue
+                assert np.array_equal(stack[name], value, equal_nan=True), (oracle, name)
+
+    @_on_kernel_grid
+    def test_flat_gathers_and_pair_products_match_fancy_indexing(self, k, S, J, L):
+        self._check_kernels(k, S, J, L, n=30, want_moment_var=True)
+
+    @pytest.mark.parametrize(
+        "n, want_moment_var", [(7, True), (7, False), (30, False), (200, True), (200, False)]
+    )
+    @_on_kernel_grid
+    def test_moment_sums_add_members_in_order(self, k, S, J, L, n, want_moment_var):
+        self._check_kernels(k, S, J, L, n, want_moment_var)
+
+    @pytest.mark.parametrize("S", [1, 2, 3])
+    def test_narrow_block_matches_full_block(self, S):
+        # without moment variances the block holds S + P columns, not S + 2P
+        ms = self._kernel_sample(2, S, 3, 120, 200)
+        codes = np.stack([permuted_labels(ms.codes, 11, b) for b in range(120)])
+        eng = StatEngine(ms)
+        full = eng.moments(codes)
+        narrow = eng.moments(codes, want_cor=False, want_moment_var=False)
+        for name in ("counts", "col_mean", "group_cov", "weighted_cov"):
+            assert np.array_equal(getattr(narrow, name), getattr(full, name)), name
 
     def test_custom_solver_agrees_with_embedded_space(self):
         ms = self._multisample()
