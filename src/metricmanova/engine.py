@@ -19,25 +19,23 @@ chunk it falls in.  The permutation sweep in ``inference.run_tests`` calls
 widest array is its label stack, and the statistics evaluated on each block's
 output cost a fixed overhead per call, so evaluating them per profile chunk
 ran 2.8x slower (131 ms against 47 ms on a k=100 input with B=500).  The
-pooled mean, and the clipped squared distances of
-medoid spaces, do not depend on the labels, so they are computed once per
-engine.
+pooled mean, and the clipped squared distances of medoid spaces, do not
+depend on the labels, so they are computed once per engine.
 
 Most axes here are only 2 or 3 wide (coordinates, spaces, groups), so data
 moves over long axes.  A gather takes one flat row index per observation,
 ``labeling * J + group``, into the (L * J, ...) stack of group means or
 medoids, and a medoid distance is one flat index into the distance matrix.
-``moments`` writes one C-contiguous (c, n, F) block per chunk, column by
-column: the S profiles, their S(S+1)/2 unique pair products and, when moment
-variances are wanted, the products' squares.  One 0/1-mask einsum sums every
-column for every group.  Its summation order defines the bits of every
-statistic, and with them the continuous T_FA and Pillai_d p-values, so the
-order is fixed: each group sum adds its members one at a time in observation
-order.  F >= 2 keeps it so: the block's observation axis is then strided, and
-numpy's einsum runs its inner loop over the F columns.  A contiguous
-observation axis, such as a lone profile column, would be summed in numpy's
-unrolled vectorised order instead.  The norm einsum and ``masks @ X`` keep
-their operand layout and chunking.
+``group_profiles`` fills one contiguous (L, n) column per space.  ``moments``
+sums each column it needs, the S profiles, their S(S+1)/2 unique pair
+products and, when moment variances are wanted, the products' squares, with
+one ``np.bincount`` over that flat index.  bincount adds each observation to
+its bin in index order, so every group sum adds its members one at a time in
+observation order.  That order defines the bits of every statistic, and with
+them the continuous T_FA and Pillai_d p-values.  An overflowed product stays
+inf in its own group's sum.  The norm einsum and ``masks @ X`` keep their
+operand layout and chunking; for one- and two-dimensional embeddings the
+squared norm is the einsum's arithmetic spelt out in ufuncs.
 
 Everything here is deterministic: summations run in fixed index order and no
 state is mutated after construction.
@@ -57,18 +55,26 @@ DEGENERATE_REL_TOL = 1.0e-10
 # a profile column variance below this relative level has no correlation
 COLUMN_VAR_REL_TOL = 1.0e-14
 
-# float64 elements in a chunk's widest temporary, n times the widest of the
-# moment block, the group count and the embeddings.  128k elements (1 MiB)
-# keep a chunk's working set near a 2 MiB per-core L2 cache.  Timing
-# ``moments`` on the perfbench inputs (2-core x86 VM, 2 MiB L2 per core),
-# 64k to 1M elements ran alike; 4M (32 MiB) ran the k=100 stacks 1.25-1.5x
-# slower, and 32k fell to one k=100 labeling per chunk, 1.6x slower.
+# a chunk holds _CHUNK_BUDGET // (n * max(F, J, widest embedding)) labelings,
+# F the number of columns ``moments`` sums.  Timing ``moments`` on the
+# perfbench inputs (2-core x86 VM, 2 MiB L2 per core), 64k to 1M elements
+# ran alike; 4M ran the k=100 stacks 1.25-1.5x slower, and 32k fell to one
+# k=100 labeling per chunk, 1.6x slower.  F no longer sizes an array, but a
+# budget over the widest array alone gives 327-labeling chunks on scenario 1
+# (n=200, S=2), against 81, and ``moments`` ran 1.4-1.5x slower there.
 _CHUNK_BUDGET = 131_072
 
 
 def _group_masks(codes: np.ndarray, J: int) -> np.ndarray:
     """(L, J, n) float membership masks of an (L, n) stack of group codes."""
     return (codes[:, None, :] == np.arange(J)[None, :, None]).astype(float)
+
+
+def _group_means(flat: np.ndarray, col: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """(c, J) group means of a (c, n) column; bincount adds each observation to
+    its bin ``flat`` (labeling * J + group) in index order."""
+    sums = np.bincount(flat, weights=col.ravel(), minlength=counts.size)
+    return sums.reshape(counts.shape) / counts
 
 
 @dataclass(frozen=True)
@@ -111,13 +117,10 @@ class StatEngine:
         self.S = ms.n_spaces
         self.J = ms.n_groups
         self.pooled_means = [frechet_mean(sp) for sp in ms.spaces]
-        cols = []
-        for sp, res in zip(ms.spaces, self.pooled_means):
-            if res.index is not None:
-                cols.append(sp.pairwise()[:, res.index])
-            else:
-                cols.append(sp.distances_to(res.mean))
-        self.pooled_profile = np.column_stack(cols)
+        self.pooled_profile = np.column_stack([
+            sp.distances_to(res.mean) if res.index is None else sp.pairwise()[:, res.index]
+            for sp, res in zip(ms.spaces, self.pooled_means)
+        ])
         self.pooled_cov = self.pooled_profile.T @ self.pooled_profile / self.n
         self._embeddings = [sp.embedding for sp in ms.spaces]
         self._squares = [
@@ -132,6 +135,7 @@ class StatEngine:
     ) -> np.ndarray:
         """(L, n, S) distances from each observation to its group mean.
 
+        The result is the transposed view of one C-contiguous (S, L, n) array.
         A medoid is the lowest-index member whose group sum of squared
         distances lies within 2(n_j - 1)·eps·min of the group's least sum.
         ``masks`` may pass in ``_group_masks(codes, J)`` when the caller has it.
@@ -143,24 +147,31 @@ class StatEngine:
         counts = masks.sum(axis=2)
         # row l * J + j of an (L * J, ...) per-group stack is labeling l's group j
         flat = np.arange(L)[:, None] * self.J + codes
-        out = np.empty((L, n, self.S), dtype=float)
+        out = np.empty((self.S, L, n), dtype=float)
         for s, (sp, X) in enumerate(zip(self.ms.spaces, self._embeddings)):
             if X is not None:
                 means = (masks @ X) / counts[:, :, None]
                 diff = np.take(means.reshape(L * self.J, X.shape[1]), flat, axis=0)
                 np.subtract(X[None, :, :], diff, out=diff)
-                out[:, :, s] = np.sqrt(np.einsum("lnk,lnk->ln", diff, diff))
+                if X.shape[1] <= 2:
+                    # the einsum's arithmetic: one product per coordinate, one add
+                    np.multiply(diff[:, :, 0], diff[:, :, 0], out=out[s])
+                    if X.shape[1] == 2:
+                        out[s] += diff[:, :, 1] * diff[:, :, 1]
+                else:
+                    np.einsum("lnk,lnk->ln", diff, diff, out=out[s])
+                np.sqrt(out[s], out=out[s])
             elif sp.has_exact_mean:
                 for l in range(L):
                     for j in range(self.J):
                         idx = np.flatnonzero(codes[l] == j)
-                        out[l, idx, s] = sp.distances_to(sp.mean_of(idx), idx)
+                        out[s, l, idx] = sp.distances_to(sp.mean_of(idx), idx)
             else:
                 # observation i's entry of pairwise() lies at i * n + its medoid
                 at = np.take(_medoids(masks, self._squares[s]), flat)
                 at += np.arange(0, n * n, n)
-                out[:, :, s] = np.take(sp.pairwise(), at)
-        return out
+                out[s] = np.take(sp.pairwise(), at)
+        return out.transpose(1, 2, 0)
 
     # -- moments ----------------------------------------------------------------
 
@@ -180,11 +191,9 @@ class StatEngine:
         group_cov = np.empty((L, J, S, S), dtype=float)
         prod_sqmean = np.empty((L, J, S, S), dtype=float) if want_moment_var else None
 
-        # block columns: the S profiles, the P unique pair products and, with
-        # want_moment_var, their squares
-        iu, ju = np.triu_indices(S)
-        P = len(iu)
-        F = S + (2 * P if want_moment_var else P)
+        # F summed columns: S profiles, S(S+1)/2 pair products, for moment_var their squares
+        pairs = list(zip(*np.triu_indices(S)))
+        F = S + (2 * len(pairs) if want_moment_var else len(pairs))
         widths = [F, J] + [X.shape[1] for X in self._embeddings if X is not None]
         chunk = max(1, _CHUNK_BUDGET // (n * max(widths)))
         for start in range(0, L, chunk):
@@ -192,35 +201,25 @@ class StatEngine:
             c = codes[sl]
             masks = _group_masks(c, J)
             p = self.group_profiles(c, masks)
-            cnt = masks.sum(axis=2)
-            counts[sl] = cnt
-            # one write per column: slice writes loop over the narrow F axis
-            # innermost, and ran about 3x slower on an (81, 200, 8) block
-            feats = np.empty(p.shape[:2] + (F,), dtype=float)
+            counts[sl] = cnt = masks.sum(axis=2)
+            flat = (np.arange(len(c))[:, None] * J + c).ravel()
             for s in range(S):
-                feats[:, :, s] = p[:, :, s]
-            for q, (a, b) in enumerate(zip(iu, ju)):
-                np.multiply(p[:, :, a], p[:, :, b], out=feats[:, :, S + q])
+                col_mean[sl, :, s] = _group_means(flat, p[:, :, s], cnt)
+            for a, b in pairs:
+                prod = p[:, :, a] * p[:, :, b]
+                group_cov[sl, :, a, b] = group_cov[sl, :, b, a] = _group_means(flat, prod, cnt)
                 if want_moment_var:
-                    np.square(feats[:, :, S + q], out=feats[:, :, S + P + q])
-            sums = np.einsum("cjn,cnf->cjf", masks, feats)
-            sums /= cnt[:, :, None]
-            col_mean[sl] = sums[:, :, :S]
-            cov = group_cov[sl]
-            cov[:, :, iu, ju] = cov[:, :, ju, iu] = sums[:, :, S : S + P]
-            if want_moment_var:
-                sq = prod_sqmean[sl]
-                sq[:, :, iu, ju] = sq[:, :, ju, iu] = sums[:, :, S + P :]
+                    sq = _group_means(flat, prod * prod, cnt)
+                    prod_sqmean[sl, :, a, b] = prod_sqmean[sl, :, b, a] = sq
             # free this chunk's temporaries before the next chunk makes its own
-            del p, masks, feats, sums
+            del p, masks, prod
 
         moment_var = prod_sqmean - group_cov**2 if want_moment_var else None
         gammas = counts / float(n)
         weighted_cov = np.einsum("lj,ljst->lst", gammas, group_cov)
         centered_cov = group_cov - col_mean[:, :, :, None] * col_mean[:, :, None, :]
 
-        group_cor = None
-        cor_valid = None
+        group_cor = cor_valid = None
         if want_cor:
             var = np.einsum("ljss->ljs", centered_cov)
             raw = np.einsum("ljss->ljs", group_cov)

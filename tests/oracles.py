@@ -6,10 +6,13 @@ straightforward transcriptions of the definitions.  The exceptions are
 ``oracle_group_profiles``, ``oracle_moment_stack`` and ``oracle_mask_einsums``:
 they move the data by fancy indexing and broadcasting, and the engine must
 match them bit for bit.  ``oracle_group_profiles`` runs the engine's own
-reductions; ``oracle_moment_stack`` adds each observation to its group in
-index order, the rule that fixes the rounding of every moment; and
-``oracle_mask_einsums`` keeps the three 0/1-mask einsums that summed the
-moments before the engine's single masked reduction.
+group sums and takes every squared norm by einsum, which the engine spells
+out in ufuncs for one- and two-dimensional embeddings; ``oracle_moment_stack``
+adds each observation to its group in index order, the rule that fixes the
+rounding of every moment and that the engine's per-column ``np.bincount``
+follows; and ``oracle_mask_einsums`` keeps the three 0/1-mask einsums that
+summed the moments before that, which agree with it for two or more spaces
+as long as no product overflows (the masks' 0 * inf is NaN).
 """
 
 import warnings

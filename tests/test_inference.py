@@ -647,6 +647,25 @@ class TestRunTest:
         with pytest.raises(SingularMatrixError, match=f"^R_mu_{kind}: .*ridge"):
             r_statistic(kind, "mean", moment_set(ms))
 
+    @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+    def test_overflowed_profile_stays_in_its_group(self):
+        # observation 3 lies near 1e160, so its group's squared norms and pair
+        # products overflow; each group sums only its own members, so group 2
+        # stays finite (a 0/1-mask sum would add 0 * inf = NaN to it)
+        rng = np.random.default_rng(88)
+        x = rng.normal(size=(20, 2))
+        x[3] = 1.0e160
+        ms = GroupedMultiSample(
+            [euclidean_space("a", x), euclidean_space("b", rng.normal(size=(20, 2)))],
+            [1] * 10 + [2] * 10,
+        )
+        mom = StatEngine(ms).moments(ms.codes[None])
+        assert np.isinf(mom.group_cov[0, 0, 0]).all()
+        assert np.isfinite(mom.group_cov[0, 1]).all()
+        assert np.isfinite(mom.moment_var[0, 1]).all()
+        with pytest.raises(SingularMatrixError, match="^component R_mu_Euc: "):
+            run_tests(["R_Euc"], ms, B=19, seed=3)
+
     def test_identical_duplicated_groups_never_reject(self):
         rng = np.random.default_rng(77)
         x = rng.normal(size=(10, 2))

@@ -330,7 +330,8 @@ class TestGroupProfileKernel:
         stack = vars(eng.moments(codes, want_moment_var=want_moment_var))
         oracles = [oracle_moment_stack]
         if S >= 2:
-            # with two or more spaces the old mask einsums summed in order too
+            # the 0/1-mask einsums sum in order too when the summed columns
+            # interleave (S >= 2); a lone contiguous column they vectorise
             oracles.append(oracle_mask_einsums)
         for oracle in oracles:
             expected = oracle(ms, codes)
@@ -354,7 +355,8 @@ class TestGroupProfileKernel:
 
     @pytest.mark.parametrize("S", [1, 2, 3])
     def test_narrow_block_matches_full_block(self, S):
-        # without moment variances the block holds S + P columns, not S + 2P
+        # without moment variances moments sums S + P columns, not S + 2P,
+        # and may chunk the labelings differently; the shared sums must agree
         ms = self._kernel_sample(2, S, 3, 120, 200)
         codes = np.stack([permuted_labels(ms.codes, 11, b) for b in range(120)])
         eng = StatEngine(ms)
@@ -362,6 +364,31 @@ class TestGroupProfileKernel:
         narrow = eng.moments(codes, want_cor=False, want_moment_var=False)
         for name in ("counts", "col_mean", "group_cov", "weighted_cov"):
             assert np.array_equal(getattr(narrow, name), getattr(full, name)), name
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    @pytest.mark.parametrize(
+        "k, scale", [(1, 1e-160), (1, 1e155), (2, 1e-160), (2, 1e155), (3, 1e155)]
+    )
+    def test_narrow_norms_match_einsum(self, k, scale, monkeypatch):
+        # squared coordinates underflow at 1e-160 and overflow at 1e155; below
+        # k = 3 the ufunc products and add must give the einsum's bits
+        rng = np.random.default_rng(k)
+        coords = rng.normal(size=(24, k)) * scale
+        ms = GroupedMultiSample([euclidean_space("E", coords)], np.arange(24) % 3)
+        codes = self._stack(ms)
+        eng = StatEngine(ms)
+        subscripts = []
+        einsum = np.einsum
+
+        def spy(sub, *operands, **kwargs):
+            subscripts.append(sub)
+            return einsum(sub, *operands, **kwargs)
+
+        monkeypatch.setattr(np, "einsum", spy)
+        prof = eng.group_profiles(codes)
+        monkeypatch.undo()
+        assert ("lnk,lnk->ln" in subscripts) == (k >= 3)
+        assert np.array_equal(prof, oracle_group_profiles(ms, codes), equal_nan=True)
 
     def test_custom_solver_agrees_with_embedded_space(self):
         ms = self._multisample()
