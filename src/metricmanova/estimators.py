@@ -68,17 +68,11 @@ def frechet_correlation(ds, ds2, flavor: str = "noncentered") -> float:
     if flavor not in _FLAVORS:
         raise ValueError(f"unknown flavor {flavor!r}; expected one of {_FLAVORS}")
     ds, ds2 = _check_columns(ds, ds2, 2)
-    if flavor == "noncentered":
-        denom_sq = float(np.mean(ds * ds) * np.mean(ds2 * ds2))
-        if denom_sq <= 0.0:
-            raise DegenerateDataError("zero Fréchet variance in a distance column")
-        return float(np.mean(ds * ds2) / np.sqrt(denom_sq))
-    c1 = ds - ds.mean()
-    c2 = ds2 - ds2.mean()
-    denom_sq = float(np.mean(c1 * c1) * np.mean(c2 * c2))
+    denom_sq = frechet_covariance(ds, ds, flavor) * frechet_covariance(ds2, ds2, flavor)
     if denom_sq <= 0.0:
-        raise DegenerateDataError("zero variance in a distance column")
-    return float(np.mean(c1 * c2) / np.sqrt(denom_sq))
+        variance = "Fréchet variance" if flavor == "noncentered" else "variance"
+        raise DegenerateDataError(f"zero {variance} in a distance column")
+    return float(frechet_covariance(ds, ds2, flavor) / np.sqrt(denom_sq))
 
 
 def covariance_matrix(profile) -> SpdMatrix:
@@ -156,7 +150,7 @@ def moment_set(ms: GroupedMultiSample) -> MomentSet:
     up on such data).
     """
     engine = StatEngine(ms)
-    mom = engine.moments(ms.codes[None, :], want_cor=True, want_moment_var=True)
+    mom = engine.moments(ms.codes[None, :])
 
     bad = mom.degenerate_var[0]
     if np.any(bad):

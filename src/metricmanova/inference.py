@@ -179,8 +179,6 @@ def _r_stack(
     pair_w = mom.gammas[:, j1] * mom.gammas[:, j2]
     mats = {"cov": mom.group_cov}
     if "cor" in targets:
-        if mom.group_cor is None:
-            raise ValueError("correlation matrices were not computed")
         eye = np.eye(pooled_cov.shape[0])
         mats["cor"] = np.where(mom.cor_valid[:, :, None, None], mom.group_cor, eye)
         cor_ok = mom.cor_valid.all(axis=1)
@@ -279,7 +277,7 @@ def _anova_cell(ms: GroupedMultiSample, s: int, t: int) -> Tuple[float, float, f
         if not (0 <= idx < ms.n_spaces):
             raise ValueError(f"space index {idx} out of range")
     engine = StatEngine(ms)
-    mom = engine.moments(ms.codes[None, :], want_cor=False, want_moment_var=True)
+    mom = engine.moments(ms.codes[None, :])
     F, U, T, valid = _fa_stack(mom, engine.pooled_cov, ms.n)
     if not valid[0, s, t]:
         raise DegenerateDataError(f"component {_fa_name(s, t)}: degenerate moment variance")
@@ -346,7 +344,7 @@ def pillai_distance(ms: GroupedMultiSample) -> Tuple[float, float]:
         raise ValueError("at least two groups are required")
     _check_pillai_d_size(ms.n, ms.n_groups, ms.n_spaces)
     engine = StatEngine(ms)
-    mom = engine.moments(ms.codes[None, :], want_cor=False, want_moment_var=False)
+    mom = engine.moments(ms.codes[None, :])
     return _pillai_d(mom, ms.n_spaces, ms.n_groups, ms.n)
 
 
@@ -505,7 +503,7 @@ def run_tests(
             codes[0] = ms.codes
         first = max(start, 1)
         permuted_labels(ms.codes, seed, range(first - 1, stop - 1), out=codes[first - start:])
-        mom = engine.moments(codes, want_cor=bool(r_kinds), want_moment_var=bool(fa_cells))
+        mom = engine.moments(codes)
         cells = _component_table(
             mom, engine.pooled_cov, n, r_kinds, fa_cells, pooled_inv, ridge
         )

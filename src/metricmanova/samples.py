@@ -13,7 +13,7 @@ and carries the group labels; it is the input to every test in the package.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -239,7 +239,13 @@ def frechet_mean(sample: SpaceSample, subset: Optional[Sequence[int]] = None) ->
     whose sum of squared distances lies within 2(n_j - 1)·eps·min of the
     subset's least sum, so near-ties resolve alike on every path.
     """
-    idx = _check_subset(sample.n, subset)
+    return _mean_and_distances(sample, _check_subset(sample.n, subset))[0]
+
+
+def _mean_and_distances(
+    sample: SpaceSample, idx: np.ndarray
+) -> Tuple[FrechetMeanResult, np.ndarray]:
+    """Fréchet mean of the observations ``idx`` and their distances to it."""
     if sample.has_exact_mean:
         point, index = sample.mean_of(idx), None
         d = sample.distances_to(point, idx)
@@ -248,9 +254,10 @@ def frechet_mean(sample: SpaceSample, subset: Optional[Sequence[int]] = None) ->
         index = int(idx[_medoids(np.ones((1, 1, idx.size)), squares)[0, 0]])
         point, d = sample.point(index), sample.pairwise()[idx, index]
     solver = "exact" if index is None else "medoid"
-    return FrechetMeanResult(
+    result = FrechetMeanResult(
         mean=point, objective=float(np.mean(d * d)), solver=solver, index=index
     )
+    return result, d
 
 
 def frechet_variance(

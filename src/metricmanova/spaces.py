@@ -97,20 +97,23 @@ class LaplacianMatrix:
 
 
 def _validate_laplacian_stack(stack: np.ndarray) -> None:
-    """Check Laplacian invariants for a (m, k, k) stack in one pass."""
+    """Check Laplacian invariants for a (m, k, k) stack in one pass, to a
+    tolerance relative to the largest entry: the centroid of integer-weighted
+    Laplacians with exactly zero row sums has row sums of rounding size."""
     if not np.all(np.isfinite(stack)):
         raise DataError("non-finite Laplacian entry")
-    if np.max(np.abs(stack - stack.transpose(0, 2, 1))) > _LAP_TOL:
+    tol = _LAP_TOL * max(1.0, float(np.max(np.abs(stack))))
+    if np.max(np.abs(stack - stack.transpose(0, 2, 1))) > tol:
         raise DataError("Laplacian not symmetric")
-    if np.max(np.abs(stack.sum(axis=2))) > _LAP_TOL:
+    if np.max(np.abs(stack.sum(axis=2))) > tol:
         raise DataError("Laplacian row sums must be zero")
     k = stack.shape[1]
     off = stack.copy()
     diag_idx = np.arange(k)
     off[:, diag_idx, diag_idx] = 0.0
-    if np.max(off) > _LAP_TOL:
+    if np.max(off) > tol:
         raise DataError("Laplacian off-diagonal entries must be non-positive")
-    if np.min(stack[:, diag_idx, diag_idx]) < -_LAP_TOL:
+    if np.min(stack[:, diag_idx, diag_idx]) < -tol:
         raise DataError("Laplacian diagonal entries must be non-negative")
 
 

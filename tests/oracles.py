@@ -32,11 +32,15 @@ def oracle_medoid(dist, idx):
     return best
 
 
+def _group_masks(codes, J):
+    """(L, J, n) float 0/1 membership masks of an (L, n) stack of group codes."""
+    return (codes[:, None, :] == np.arange(J)[None, :, None]).astype(float)
+
+
 def oracle_group_profiles(ms, codes):
     """(L, n, S) ``StatEngine.group_profiles`` of centroid and medoid spaces by
     two-array fancy indexing: ``means[rows, codes]`` for centroids and
     ``pairwise()[arange(n), medoids[rows, codes]]`` for medoid distances."""
-    from metricmanova.engine import _group_masks
     from metricmanova.samples import _clipped_squares, _medoids
 
     L, n = codes.shape
@@ -118,8 +122,6 @@ def oracle_moment_stack(ms, codes):
 def oracle_mask_einsums(ms, codes):
     """``oracle_moment_stack`` through three 0/1-mask einsums over the
     profiles, the full (S, S) pair products and their squares."""
-    from metricmanova.engine import _group_masks
-
     masks = _group_masks(codes, ms.n_groups)
     p = oracle_group_profiles(ms, codes)
     counts = masks.sum(axis=2)

@@ -248,14 +248,18 @@ class TestRStatistic:
         group_cov = np.asarray(group_cov, float)
         J, S, _ = group_cov.shape
         gammas = np.asarray(gammas, float)
+        # zero column means make the centered and non-centered moments agree
         stack = MomentStack(
             counts=gammas[None] * 100,
             gammas=gammas[None],
             group_cov=group_cov[None],
             weighted_cov=np.einsum("j,jst->st", gammas, group_cov)[None],
+            col_mean=np.zeros((1, J, S)),
+            centered_cov=group_cov[None],
             group_cor=np.broadcast_to(np.eye(S), (1, J, S, S)).copy(),
             cor_valid=np.ones((1, J), dtype=bool),
             moment_var=np.ones((1, J, S, S)),
+            prod_sqmean=1.0 + group_cov[None] ** 2,
         )
         return MomentSet(
             stack=stack,

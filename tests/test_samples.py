@@ -243,6 +243,36 @@ class TestDistanceProfile:
         with pytest.raises(DataError):
             DistanceProfile(values=np.array([[-1.0]]), mean_mode="pooled")
 
+    def test_pooled_profile_is_measured_once(self):
+        # coordinate, distance-matrix and custom-solver spaces: each pooled
+        # column is the one frechet_mean measures, bit for bit, and a custom
+        # space's distance function runs once per observation
+        rng = np.random.default_rng(36)
+        n = 12
+        x = rng.normal(size=n)
+        upper = np.triu(rng.integers(1, 4, size=(n, n)).astype(float), 1)
+        calls = []
+
+        def distance(a, b):
+            calls.append(1)
+            return abs(a - b)
+
+        spaces = [
+            euclidean_space("E", rng.normal(size=(n, 3))),
+            distance_matrix_space("D", upper + upper.T),
+            custom_space("C", list(x), distance, exact_mean=lambda pts, w: float(np.mean(pts))),
+        ]
+        ms = GroupedMultiSample(spaces, np.arange(n) % 2)
+        eng = StatEngine(ms)
+        assert len(calls) == n
+        for s, sp in enumerate(spaces):
+            res = frechet_mean(sp)
+            col = eng.pooled_profile[:, s]
+            ref = sp.distances_to(res.mean) if res.index is None else sp.pairwise()[:, res.index]
+            assert np.array_equal(col, ref), sp.space_id
+            assert res.objective == float(np.mean(col * col))
+            assert eng.pooled_means[s] == res
+
 
 def _on_kernel_grid(test):
     """Parametrize ``test`` over the moment-kernel grid, ids ``k-S-J-L``: k
@@ -322,12 +352,12 @@ class TestGroupProfileKernel:
         ][:S]
         return GroupedMultiSample(spaces, np.arange(n) % J)
 
-    def _check_kernels(self, k, S, J, L, n, want_moment_var):
+    def _check_kernels(self, k, S, J, L, n):
         ms = self._kernel_sample(k, S, J, L, n)
         codes = np.stack([permuted_labels(ms.codes, 7, b) for b in range(L)])
         eng = StatEngine(ms)
         assert np.array_equal(eng.group_profiles(codes), oracle_group_profiles(ms, codes))
-        stack = vars(eng.moments(codes, want_moment_var=want_moment_var))
+        stack = vars(eng.moments(codes))
         oracles = [oracle_moment_stack]
         if S >= 2:
             # the 0/1-mask einsums sum in order too when the summed columns
@@ -337,33 +367,16 @@ class TestGroupProfileKernel:
             expected = oracle(ms, codes)
             assert stack.keys() == expected.keys()
             for name, value in expected.items():
-                if not want_moment_var and name in ("moment_var", "prod_sqmean"):
-                    assert stack[name] is None, name
-                    continue
                 assert np.array_equal(stack[name], value, equal_nan=True), (oracle, name)
 
     @_on_kernel_grid
     def test_flat_gathers_and_pair_products_match_fancy_indexing(self, k, S, J, L):
-        self._check_kernels(k, S, J, L, n=30, want_moment_var=True)
+        self._check_kernels(k, S, J, L, n=30)
 
-    @pytest.mark.parametrize(
-        "n, want_moment_var", [(7, True), (7, False), (30, False), (200, True), (200, False)]
-    )
+    @pytest.mark.parametrize("n", [7, 200])
     @_on_kernel_grid
-    def test_moment_sums_add_members_in_order(self, k, S, J, L, n, want_moment_var):
-        self._check_kernels(k, S, J, L, n, want_moment_var)
-
-    @pytest.mark.parametrize("S", [1, 2, 3])
-    def test_narrow_block_matches_full_block(self, S):
-        # without moment variances moments sums S + P columns, not S + 2P,
-        # and may chunk the labelings differently; the shared sums must agree
-        ms = self._kernel_sample(2, S, 3, 120, 200)
-        codes = np.stack([permuted_labels(ms.codes, 11, b) for b in range(120)])
-        eng = StatEngine(ms)
-        full = eng.moments(codes)
-        narrow = eng.moments(codes, want_cor=False, want_moment_var=False)
-        for name in ("counts", "col_mean", "group_cov", "weighted_cov"):
-            assert np.array_equal(getattr(narrow, name), getattr(full, name)), name
+    def test_moment_sums_add_members_in_order(self, k, S, J, L, n):
+        self._check_kernels(k, S, J, L, n)
 
     @pytest.mark.filterwarnings("ignore:overflow")
     @pytest.mark.parametrize(
@@ -431,9 +444,9 @@ class TestGroupProfileKernel:
         chunks = []
         real = StatEngine.group_profiles
 
-        def counting(self, c, *masks):
+        def counting(self, c):
             chunks.append(len(c))
-            return real(self, c, *masks)
+            return real(self, c)
 
         monkeypatch.setattr(StatEngine, "group_profiles", counting)
         default = StatEngine(ms).moments(codes)

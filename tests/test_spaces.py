@@ -5,6 +5,7 @@ import pytest
 
 from metricmanova.dataset import dumps_msd, loads_msd
 from metricmanova.errors import DataError
+from metricmanova.inference import TEST_NAMES, run_tests
 from metricmanova.samples import GroupedMultiSample, frechet_mean
 from metricmanova.spaces import (
     EuclideanPoint,
@@ -113,6 +114,27 @@ class TestLaplacian:
         result = frechet_mean(space)
         LaplacianMatrix(result.mean.entries)  # would raise if invariants broke
         assert result.solver == "exact"
+
+    def test_tolerance_scales_with_the_largest_entry(self):
+        # integer weights up to 2e7 and exactly zero row sums: the centroid's
+        # row sums are rounding-sized (about 7e-9), far above 1e-10 absolute
+        rng = np.random.default_rng(0)
+        w = np.triu(rng.integers(0, 2 * 10**7, size=(46, 6, 6)).astype(float), 1)
+        w += w.transpose(0, 2, 1)
+        laps = -w
+        diag = np.arange(6)
+        laps[:, diag, diag] = w.sum(axis=2)
+        assert np.all(laps.sum(axis=2) == 0.0)
+        space = laplacian_space("L", laps)
+        centroid = frechet_mean(space).mean.entries
+        assert np.max(np.abs(centroid.sum(axis=1))) > 1.0e-10
+        ms = GroupedMultiSample([space], np.arange(46) % 2)
+        reports = run_tests(TEST_NAMES, ms, B=20, seed=1)
+        assert [r.test_name for r in reports] == list(TEST_NAMES)
+        # row sums off by 1e-6 of the largest entry are still rejected
+        laps[:, diag, diag] += 1.0e-6 * np.max(np.abs(laps))
+        with pytest.raises(DataError, match="row sums"):
+            laplacian_space("L", laps)
 
 
 def _random_metric_triples(rng, make_point, distance, n=100, tri_slack=1e-12):
