@@ -373,10 +373,30 @@ class TestGroupProfileKernel:
     def test_flat_gathers_and_pair_products_match_fancy_indexing(self, k, S, J, L):
         self._check_kernels(k, S, J, L, n=30)
 
-    @pytest.mark.parametrize("n", [7, 200])
+    @pytest.mark.parametrize(
+        "n, default_chunks", [(7, True), (7, False), (30, False), (200, True), (200, False)]
+    )
     @_on_kernel_grid
-    def test_moment_sums_add_members_in_order(self, k, S, J, L, n):
+    def test_moment_sums_add_members_in_order(self, k, S, J, L, n, default_chunks, monkeypatch):
+        # default_chunks=False walks the labelings one per chunk; a labeling's
+        # sums must not depend on the chunk it falls in
+        if not default_chunks:
+            monkeypatch.setattr(engine, "_CHUNK_BUDGET", 1)
         self._check_kernels(k, S, J, L, n)
+
+    @pytest.mark.parametrize("S", [1, 2, 3])
+    def test_narrow_block_matches_full_block(self, S):
+        # run_tests evaluates a sweep in blocks of labelings; moments on each
+        # narrow block, 7 labelings wide, must equal the rows of one full call
+        ms = self._kernel_sample(2, S, 3, 120, 200)
+        codes = np.stack([permuted_labels(ms.codes, 11, b) for b in range(120)])
+        eng = StatEngine(ms)
+        full = eng.moments(codes)
+        for start in range(0, 120, 7):
+            narrow = eng.moments(codes[start : start + 7])
+            for name, value in vars(narrow).items():
+                expected = getattr(full, name)[start : start + 7]
+                assert np.array_equal(value, expected, equal_nan=True), (start, name)
 
     @pytest.mark.filterwarnings("ignore:overflow")
     @pytest.mark.parametrize(
