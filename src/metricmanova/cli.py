@@ -23,7 +23,7 @@ import numpy as np
 from .dataset import load_msd, save_msd
 from .errors import DataError, DegenerateDataError
 from .estimators import frechet_correlation
-from .inference import TEST_NAMES, run_tests
+from .inference import TEST_NAMES, check_test_names, run_tests
 from .rng import derive_rng, spawn_seed
 from .samples import GroupedMultiSample, distance_profile
 from .simulation import (
@@ -105,9 +105,10 @@ def _parse_tests(arg: str) -> List[str]:
     names = [t.strip() for t in arg.split(",") if t.strip()]
     if not names:
         raise _UsageError("no tests selected")
-    for name in names:
-        if name not in TEST_NAMES:
-            raise _UsageError(f"unknown test {name!r}; choose from {', '.join(TEST_NAMES)}")
+    try:
+        check_test_names(names)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
     return names
 
 

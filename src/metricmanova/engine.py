@@ -18,7 +18,7 @@ that each chunk's temporaries stay resident in a core's L2 cache; that bounds
 memory too, but the point is speed: fresh multi-megabyte temporaries cost
 more in page faults and memory traffic than their arithmetic.  A labeling's
 results never depend on the chunk it falls in.  The permutation sweep in
-``inference.run_tests`` calls ``moments`` on coarser blocks, of
+``inference.run_tests`` calls ``moments`` on coarser blocks, of at most
 ``_CHUNK_BUDGET // n`` labelings: a block's widest array is its label stack,
 and the statistics evaluated on each block's output cost a fixed overhead per
 call, so evaluating them per profile chunk ran 2.8x slower (131 ms against

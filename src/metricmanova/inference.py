@@ -44,7 +44,26 @@ shuffles with one batched ``permuted_labels`` call, and writes each
 component's values into one (B + 1,) array, so memory grows with B by a few
 bytes per component and replicate.  The observed checks run on row 0 of the
 first block; every permutation-calibrated component then takes the same
-``_perm_p`` path.  ``r_statistic`` and ``pillai_adapted`` are L=1 views that
+``_perm_p`` path.
+
+Monte Carlo loops read only the reject flags, so ``estimate_rejection_rates``
+hands ``run_tests`` a private ``_Futility`` block schedule.  The sweep then
+runs in growing blocks and stops once every permutation-calibrated component
+is futile: (1 + count)/(B + 1) > level, the float expression of ``_perm_p``'s
+p-value and level check, where count is the replicates at or above the
+observed statistic.  The count never falls, at most B replicates are valid and
+IEEE division is monotone in its denominator, so the full sweep's p-value
+exceeds the level too, and every reject flag is the full sweep's (the exact,
+futility-only case of sequential Monte Carlo tests; Besag & Clifford 1991,
+Gandy 2009).  A stopped component is judged by ``_perm_p`` on the rows swept
+and reports ``p_value=None``.  A degenerate row in any permutation-calibrated
+component runs the sweep to B, so no prefix drops a row.  One difference
+remains: a replicate whose swept rows are all valid, but whose unswept rows
+would pass 20% degenerate, is kept where the full sweep raises
+:class:`UnstableStatisticError`.  Without the schedule, as in the ``test``
+command, the sweep is the one full sweep above.
+
+``r_statistic`` and ``pillai_adapted`` are L=1 views that
 equal the observed statistics of ``run_tests`` bit for bit.  ``ridge=True`` adds
 1e-10 * trace/dim to the diagonal of the AIRM and LERM inputs only; Euc is
 defined on every symmetric matrix and is never ridged.
@@ -389,15 +408,19 @@ def _perm_p(
     """Add-one p-value over the valid finite replicates, and their count."""
     if not np.isfinite(observed):
         raise DegenerateDataError(f"component {name}: observed statistic {observed!r}")
-    valid = valid & np.isfinite(values)
-    n_valid = int(valid.sum())
+    count, n_valid = _exceedances(observed, values, valid)
     B = values.shape[0]
     if B - n_valid > _MAX_DEGENERATE_FRACTION * B:
         raise UnstableStatisticError(
             f"component {name}: {B - n_valid} of {B} permutation replicates degenerate"
         )
-    count = int(np.sum(values[valid] >= observed))
     return (1 + count) / (n_valid + 1), n_valid
+
+
+def _exceedances(observed: float, values: np.ndarray, valid: np.ndarray) -> Tuple[int, int]:
+    """Valid finite replicates at or above ``observed``, and the valid finite count."""
+    valid = valid & np.isfinite(values)
+    return int(np.sum(values[valid] >= observed)), int(valid.sum())
 
 
 def _fa_components(S: int) -> Dict[str, Tuple[int, int]]:
@@ -457,6 +480,73 @@ def run_test(
     return run_tests([name], ms, alpha=alpha, B=B, seed=seed, ridge=ridge)[0]
 
 
+def check_test_names(names: Sequence[str]) -> None:
+    """Raise ``ValueError`` on an unknown or a repeated test name."""
+    for k, name in enumerate(names):
+        if name not in TEST_NAMES:
+            raise ValueError(f"unknown test {name!r}; expected one of {TEST_NAMES}")
+        if name in names[:k]:
+            raise ValueError(f"test {name!r} requested twice")
+
+
+class _Futility:
+    """Block schedule of the decisions-only sweep (see ``run_tests``).
+
+    It sets only the block lengths, never a statistic or a decision.  Each
+    block costs a fixed 1-2 ms on a 2-core x86 VM (the statistic stacks and
+    the label streams' set-up), as much as 20-30 rows.  At a null point most
+    sweeps are decided within a few dozen rows, so the first block holds row
+    0 and 32 replicates, and later blocks double.  A component with no
+    exceedance yet looks like a rejection, which needs every row, so the rest
+    is swept in one block.  One instance serves the replicates of one Monte
+    Carlo estimate, all drawn at one parameter point: once most of at least
+    two earlier replicates needed every row, a later replicate sweeps in one
+    block from the start.
+    """
+
+    FIRST_REPLICATES = 32
+
+    def __init__(self) -> None:
+        self.swept = 0  # replicates swept
+        self.needed = 0  # of which a component could still reject at the last row
+
+    def first_block(self, rows: int) -> int:
+        if self.swept >= 2 and 2 * self.needed > self.swept:
+            return rows
+        return 1 + self.FIRST_REPLICATES
+
+    def next_block(self, open_counts: Optional[list], stop: int, rows: int) -> int:
+        """Rows of the next block, given the exceedance counts of the components
+        still open after ``stop`` rows (None once a row is degenerate)."""
+        if open_counts is None or 0 in open_counts:
+            return rows
+        return 2 * (stop - 1)
+
+    def record(self, open_counts: Optional[list]) -> None:
+        self.swept += 1
+        self.needed += open_counts != []
+
+
+def _open_counts(
+    table: Dict[str, Tuple[np.ndarray, np.ndarray]],
+    levels: Dict[str, float],
+    stop: int,
+    B: int,
+) -> Optional[list]:
+    """Exceedance counts over rows 1 .. stop - 1 of the components that can
+    still reject, or None if any of those rows is degenerate.  A component is
+    futile, and left out, once (1 + count) / (B + 1) > level."""
+    counts = []
+    for comp_name, level in levels.items():
+        values, valid = table[comp_name]
+        count, n_valid = _exceedances(values[0], values[1:stop], valid[1:stop])
+        if n_valid < stop - 1:
+            return None
+        if not (1 + count) / (B + 1) > level:
+            counts.append(count)
+    return counts
+
+
 def run_tests(
     names: Sequence[str],
     ms: GroupedMultiSample,
@@ -465,15 +555,20 @@ def run_tests(
     seed: int = 0,
     *,
     ridge: bool = False,
+    _futility: Optional[_Futility] = None,
 ) -> list:
     """Run several tests on one multisample, sharing the permutation sweep.
 
     The permutation shuffles depend only on ``(seed, replicate)``, so the
     reports are identical to running each test separately with the same seed.
+
+    ``_futility`` (private, for Monte Carlo loops that read only the reject
+    flags) stops the sweep once no permutation-calibrated component can
+    reject; see the module docstring.  The reject flags are the full sweep's,
+    a stopped component's ``p_value`` is None, and ``permutations_used``
+    counts the rows swept.
     """
-    for name in names:
-        if name not in TEST_NAMES:
-            raise ValueError(f"unknown test {name!r}; expected one of {TEST_NAMES}")
+    check_test_names(names)
     if not (0.0 < alpha < 1.0):
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     if ms.n_groups < 2:
@@ -490,14 +585,25 @@ def run_tests(
     r_kinds = tuple(k for k in SPD_KINDS if f"R_{k}" in names)
     fa_cells = _fa_components(S) if "T_FA" in names or "T_FA_perm" in names else {}
     pooled_inv = _pooled_inverse(engine.pooled_cov) if "Pillai" in names else None
+    tests = {name: _component_names(name, S) for name in names}
+    # the level of each permutation-calibrated component
+    perm_levels = {
+        comp_name: alpha / len(comp_names)
+        for name, comp_names in tests.items()
+        if name in _PERM_TESTS
+        for comp_name in comp_names
+    }
 
     # the sweep: row 0 is the observed labeling, row b + 1 permutation
     # replicate b; a block's label stack holds at most _CHUNK_BUDGET labels
     rows = B + 1 if needs_perm else 1
     block = max(1, _engine._CHUNK_BUDGET // n)
     labels = np.empty((min(block, rows), n), dtype=np.int64)
-    for start in range(0, rows, block):
-        stop = min(start + block, rows)
+    watch = _futility is not None and needs_perm
+    size = _futility.first_block(rows) if watch else rows
+    stop = 0
+    while stop < rows:
+        start, stop = stop, min(stop + min(size, block), rows)
         codes = labels[: stop - start]
         if start == 0:
             codes[0] = ms.codes
@@ -525,10 +631,17 @@ def run_tests(
         for comp_name, (values, valid) in cells.items():
             table[comp_name][0][start:stop] = values
             table[comp_name][1][start:stop] = valid
+        if watch:
+            open_counts = _open_counts(table, perm_levels, stop, B)
+            if open_counts == []:
+                break  # every permutation-calibrated component is futile
+            size = _futility.next_block(open_counts, stop, rows)
+    if watch:
+        _futility.record(open_counts)
+    stopped = stop < rows
 
     reports = []
-    for name in names:
-        comp_names = _component_names(name, S)
+    for name, comp_names in tests.items():
         level = alpha / len(comp_names)
         threshold = _fa_threshold(J - 1, level) if name == "T_FA" else None
         components = []
@@ -544,9 +657,13 @@ def run_tests(
                     p = max(chi2_sf(statistic, J - 1), 5e-324)
                     reject = statistic > threshold
                 else:
-                    p, n_valid = _perm_p(statistic, values[1:], valid[1:], comp_name)
+                    p, n_valid = _perm_p(
+                        statistic, values[1:stop], valid[1:stop], comp_name
+                    )
                     used.append(n_valid)
                     reject = p <= level
+                    if stopped:
+                        p = None  # futile; a prefix p-value is not the test's
             components.append(
                 ComponentResult(
                     name=comp_name,

@@ -30,7 +30,7 @@ from typing import Callable, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import DegenerateDataError, UnstableStatisticError
-from .inference import TEST_NAMES, run_tests
+from .inference import _Futility, check_test_names, run_tests
 from .rng import DATA_STREAM, TEST_STREAM, check_seed, derive_rng, spawn_seed
 from .samples import GroupedMultiSample
 from .spaces import LaplacianMatrix, euclidean_space, gaussian_space, laplacian_space
@@ -367,27 +367,38 @@ def estimate_rejection_rates(
     Replicate k generates its data with a seed derived from (seed, k) and runs
     every requested test on it, sharing one permutation sweep.  Replicates on
     which the test machinery reports degeneracy are dropped; more than 1% of
-    them aborts the estimate.
+    them aborts the estimate.  A test name may appear once.
+
+    Only reject flags are read, so each sweep stops early once every
+    permutation-calibrated component is futile: (1 + count)/(B + 1) already
+    exceeds its level, where count is the replicates at or above the observed
+    statistic, so no later replicate can bring its p-value down to the level.
+    Every flag, and so every rate, equals the full sweep's.  A sweep runs to
+    B once any swept row is degenerate.  One difference remains: a replicate
+    whose swept rows are all valid, but whose unswept rows would take it past
+    20% degenerate, is kept here where the full sweep drops it as
+    :class:`UnstableStatisticError`.
     """
     if nsims < 1:
         raise ValueError(f"need at least one replicate, got nsims={nsims}")
-    for name in test_names:
-        if name not in TEST_NAMES:
-            raise ValueError(f"unknown test {name!r}")
+    test_names = list(test_names)
+    check_test_names(test_names)
     seed = check_seed(seed)
     rejects = {name: 0 for name in test_names}
     errors = 0
     used = 0
+    futility = _Futility()
     for k in range(nsims):
         ms = generator(spawn_seed(seed, DATA_STREAM, k))
         try:
             reports = run_tests(
-                list(test_names),
+                test_names,
                 ms,
                 alpha=alpha,
                 B=B,
                 seed=spawn_seed(seed, TEST_STREAM, k),
                 ridge=ridge,
+                _futility=futility,
             )
         except DegenerateDataError:
             errors += 1

@@ -135,6 +135,18 @@ class TestExitCodes:
         code = run_cli(["test", "--input", "x.msd", "--tests", "bogus", "--seed", "1"])
         assert code == 1
 
+    @pytest.mark.parametrize("command", ["test", "power"])
+    def test_repeated_test_name_is_usage_error(self, tmp_path, capsys, command):
+        # a repeated name used to add its rejections twice: power reported a
+        # rate of 2 and failed with "data error: math domain error", exit 2
+        args = {
+            "test": ["test", "--input", str(tmp_path / "absent.msd")],
+            "power": ["power", "--scenario", "1", "--study", "1", "--grid", "1",
+                      "--nsims", "40", "--B", "1", "--n1", "30", "--n2", "30"],
+        }[command]
+        assert run_cli(args + ["--tests", "Pillai_d,Pillai_d", "--seed", "5"]) == 1
+        assert "'Pillai_d' requested twice" in capsys.readouterr().err
+
     def test_usage_error_missing_argument(self):
         assert run_cli(["power", "--scenario", "1"]) == 1
 

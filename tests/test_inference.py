@@ -607,6 +607,179 @@ class TestPermutationPvalue:
             permutation_pvalue(self._scripted(np.nan, [1.0] * 19), ms, B=19, seed=1)
 
 
+def _futility_samples(rng, S, shift):
+    """A two-group sample in S Euclidean spaces; ``shift`` scales group 2."""
+    labels = np.repeat([1, 2], 20)
+    spaces = []
+    for s in range(S):
+        x = rng.normal(size=(40, 2))
+        x[20:] *= 1.0 + shift
+        spaces.append(euclidean_space(f"e{s}", x))
+    return GroupedMultiSample(spaces, labels)
+
+
+def _futility_medoid_sample(rng, shift):
+    pts = rng.normal(size=(36, 3))
+    pts[24:] *= 1.0 + shift
+    d = np.abs(pts[:, None] - pts[None]).sum(axis=2)
+    return GroupedMultiSample(
+        [distance_matrix_space("D", d), euclidean_space("e", rng.normal(size=(36, 2)))],
+        np.repeat([1, 2, 3], 12),
+    )
+
+
+class TestFutilityStop:
+    """The decisions-only sweep (``run_tests(..., _futility=...)``) stops once
+    every permutation-calibrated component is futile, and gives the full
+    sweep's reject flags."""
+
+    @staticmethod
+    def _pair(ms, futility, **kw):
+        full = run_tests(TEST_NAMES, ms, **kw)
+        return full, run_tests(TEST_NAMES, ms, _futility=futility, **kw)
+
+    @pytest.mark.parametrize("alpha, B", [(0.05, 1), (0.05, 9), (0.05, 99), (0.3, 49)])
+    def test_reject_flags_equal_the_full_sweep(self, alpha, B):
+        # (0.3, 49): alpha * (B + 1) / 3 = 5 exactly, so an R component with 4
+        # of 49 exceedances sits on the boundary: (1 + 4) / 50 = 0.1 > 0.3 / 3
+        # in floats, and it is futile and never rejects on the full sweep
+        rng = np.random.default_rng(91)
+        makers = [
+            lambda shift, S=S: _futility_samples(rng, S, shift) for S in (1, 2, 3)
+        ] + [lambda shift: _futility_medoid_sample(rng, shift)]
+        stopped = full_sweeps = 0
+        for make in makers:
+            for shift in (0.0, 3.0):  # a null and a power-1 point
+                futility = inference._Futility()
+                for rep in range(4):
+                    ms = make(shift)
+                    for ridge in (False, True):
+                        full, decided = self._pair(
+                            ms, futility, alpha=alpha, B=B, seed=rep, ridge=ridge
+                        )
+                        cut = any(
+                            c.p_value is None for r in decided for c in r.components
+                        )
+                        stopped += cut
+                        full_sweeps += not cut
+                        for a, b in zip(full, decided):
+                            assert a.global_reject == b.global_reject
+                            assert [(c.name, c.statistic, c.reject) for c in a.components] == [
+                                (c.name, c.statistic, c.reject) for c in b.components
+                            ]
+                            perm = a.test_name in inference._PERM_TESTS
+                            for ca, cb in zip(a.components, b.components):
+                                if cut and perm:
+                                    # a stopped sweep rejects nothing it calibrates
+                                    assert cb.p_value is None and not cb.reject
+                                else:
+                                    assert cb.p_value == ca.p_value
+                            if not cut:
+                                assert a == b
+        # a sweep that fits in the first block has nothing to stop
+        assert (stopped > 0) == (B > inference._Futility.FIRST_REPLICATES)
+        assert full_sweeps > 0
+
+    @pytest.mark.parametrize("alpha, m, B", [(0.05, 3, 59), (0.3, 3, 49), (0.3, 3, 199),
+                                             (0.05, 1, 19), (0.05, 6, 119)])
+    def test_futility_rule_agrees_with_perm_p_at_every_count(self, alpha, m, B):
+        # alpha * (B + 1) / m is an integer in each case; the rule must call a
+        # count futile exactly when the full sweep's p-value exceeds the level
+        level = alpha / m
+        for count in range(B + 1):
+            values = np.r_[1.0, np.full(count, 2.0), np.zeros(B - count)]
+            valid = np.ones(B + 1, dtype=bool)
+            table = {"c": (values, valid)}
+            futile = inference._open_counts(table, {"c": level}, B + 1, B) == []
+            p, _ = inference._perm_p(1.0, values[1:], valid[1:], "c")
+            assert futile == (not p <= level), count
+            # a futile prefix stays futile: the full sweep's p exceeds the level
+            for stop in (2, B // 2 + 1):
+                if inference._open_counts(table, {"c": level}, stop, B) == []:
+                    assert not p <= level
+
+    def test_null_point_sweeps_fewer_labelings(self, monkeypatch):
+        labelings = []
+        real = StatEngine.moments
+
+        def spy(self, codes):
+            labelings.append(len(codes))
+            return real(self, codes)
+
+        monkeypatch.setattr(StatEngine, "moments", spy)
+        gen = scenario_generator(1, 1, 0.0, n1=20, n2=20)
+        B, swept = 99, []
+        futility = inference._Futility()
+        for rep in range(6):
+            labelings.clear()
+            run_tests(TEST_NAMES, gen(rep), B=B, seed=rep, _futility=futility)
+            swept.append(sum(labelings))
+        assert min(swept) < B + 1
+        assert sum(swept) < 6 * (B + 1)
+        labelings.clear()
+        run_tests(TEST_NAMES, gen(0), B=B, seed=0)
+        assert labelings == [B + 1]
+
+    def test_degenerate_row_forces_the_full_sweep(self, monkeypatch):
+        rng = np.random.default_rng(92)
+        ms = _futility_samples(rng, 2, 0.0)
+        B = 99
+        labelings = []
+        real_moments, real_pillai = StatEngine.moments, inference._pillai_stack
+
+        def spy(self, codes):
+            labelings.append(len(codes))
+            return real_moments(self, codes)
+
+        def run_with_nan_rows(rows, **kw):
+            """``run_tests`` with Pillai's value NaN at the given sweep rows."""
+            seen = [0]
+
+            def pillai_stack(weighted_cov, pooled_inv):
+                values = real_pillai(weighted_cov, pooled_inv)
+                start, seen[0] = seen[0], seen[0] + len(values)
+                for row in rows:
+                    if start <= row < seen[0]:
+                        values[row - start] = np.nan
+                return values
+
+            monkeypatch.setattr(inference, "_pillai_stack", pillai_stack)
+            labelings.clear()
+            return run_tests(TEST_NAMES, ms, B=B, seed=3, **kw)
+
+        monkeypatch.setattr(StatEngine, "moments", spy)
+        clean = run_with_nan_rows([], _futility=inference._Futility())
+        assert sum(labelings) < B + 1  # this sweep stops when no row is degenerate
+        # one NaN in the first block runs the sweep to B, so the reports are
+        # the full sweep's, p-values included
+        full = run_with_nan_rows([5])
+        decided = run_with_nan_rows([5], _futility=inference._Futility())
+        assert sum(labelings) == B + 1
+        assert decided == full
+        assert decided[TEST_NAMES.index("Pillai")].permutations_used == B - 1
+        # the one difference: rows past the stop that would push a component
+        # over 20% degenerate abort the full sweep, but not a stopped one
+        late = range(B + 1 - 25, B + 1)
+        with pytest.raises(UnstableStatisticError):
+            run_with_nan_rows(late)
+        assert run_with_nan_rows(late, _futility=inference._Futility()) == clean
+
+    def test_plain_run_tests_reports_every_p_value(self):
+        rng = np.random.default_rng(93)
+        for S in (1, 2, 3):
+            for shift in (0.0, 3.0):
+                ms = _futility_samples(rng, S, shift)
+                for report in run_tests(TEST_NAMES, ms, B=49, seed=S):
+                    assert all(c.p_value is not None for c in report.components)
+                    if report.test_name in inference._PERM_TESTS:
+                        assert report.permutations_used == 49
+
+    def test_repeated_test_name_raises(self):
+        ms = random_two_group_ms(np.random.default_rng(94))
+        with pytest.raises(ValueError, match="'T_FA' requested twice"):
+            run_tests(["T_FA", "R_Euc", "T_FA"], ms, B=9, seed=1)
+
+
 class TestRunTest:
     def test_unknown_name(self):
         rng = np.random.default_rng(75)

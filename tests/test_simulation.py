@@ -7,8 +7,9 @@ import pytest
 
 from metricmanova.cli import main
 from metricmanova.dataset import save_msd
-from metricmanova.inference import run_tests
-from metricmanova.rng import DATA_STREAM, derive_rng, spawn_seed
+from metricmanova.engine import StatEngine
+from metricmanova.inference import TEST_NAMES, run_tests
+from metricmanova.rng import DATA_STREAM, TEST_STREAM, derive_rng, spawn_seed
 from metricmanova.samples import GroupedMultiSample, frechet_mean
 from metricmanova.simulation import (
     Scenario1Params,
@@ -338,6 +339,61 @@ class TestRejectionRates:
         gen = scenario_generator(1, 1, 0.0)
         with pytest.raises(ValueError):
             estimate_rejection_rate("nope", gen, nsims=2, seed=1)
+
+    def test_repeated_test_name_raises(self):
+        # each report used to add to one key: both rows read the sum of the
+        # two, 0.1 here, and a rate could pass 1
+        gen = scenario_generator(1, 1, 0.0, n1=30, n2=30)
+        with pytest.raises(ValueError, match="'T_FA' requested twice"):
+            estimate_rejection_rates(["T_FA", "T_FA"], gen, nsims=40, B=1, seed=5)
+
+
+def full_sweep_rates(names, generator, nsims, alpha, B, seed, ridge=False):
+    """Rejection rates from full permutation sweeps, replicate by replicate
+    with the seeds ``estimate_rejection_rates`` derives."""
+    hits = np.zeros(len(names))
+    for k in range(nsims):
+        ms = generator(spawn_seed(seed, DATA_STREAM, k))
+        reports = run_tests(names, ms, alpha=alpha, B=B,
+                            seed=spawn_seed(seed, TEST_STREAM, k), ridge=ridge)
+        hits += [r.global_reject for r in reports]
+    return list(hits / nsims)
+
+
+class TestEarlyStoppedRates:
+    """``estimate_rejection_rates`` stops each sweep once no permutation-
+    calibrated component can reject; its rates are the full sweeps'."""
+
+    @pytest.mark.parametrize("scenario, study, value, alpha, B", [
+        (1, 1, 0.0, 0.05, 99),   # null
+        (1, 1, 0.0, 0.3, 49),    # alpha * (B + 1) / 3 = 5, an integer
+        (1, 2, 3.0, 0.05, 99),   # power 1 for the R tests
+        (1, 1, 0.25, 0.05, 59),  # between
+        (2, 1, 2.5, 0.05, 49),   # scenario-2 null
+    ])
+    def test_rates_equal_full_sweeps(self, scenario, study, value, alpha, B):
+        gen = scenario_generator(scenario, study, value, n1=15, n2=15, nodes=6)
+        for ridge in (False, True):
+            ests = estimate_rejection_rates(
+                TEST_NAMES, gen, nsims=8, alpha=alpha, B=B, seed=13, ridge=ridge
+            )
+            assert [e.rate for e in ests] == full_sweep_rates(
+                list(TEST_NAMES), gen, 8, alpha, B, 13, ridge
+            )
+
+    def test_null_point_sweeps_fewer_labelings(self, monkeypatch):
+        labelings = []
+        real = StatEngine.moments
+
+        def spy(self, codes):
+            labelings.append(len(codes))
+            return real(self, codes)
+
+        monkeypatch.setattr(StatEngine, "moments", spy)
+        gen = scenario_generator(1, 1, 0.0, n1=20, n2=20)
+        nsims, B = 10, 199
+        estimate_rejection_rates(TEST_NAMES, gen, nsims=nsims, B=B, seed=3)
+        assert sum(labelings) < nsims * (B + 1)
 
 
 def tfa_null_reports(seed, nsims, alpha=0.05):
