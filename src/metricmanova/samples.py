@@ -125,7 +125,7 @@ class SpaceSample:
             raise DataError(f"space {self.space_id!r}: non-finite distance")
         if np.any(mat < 0):
             raise DataError(f"space {self.space_id!r}: negative distance")
-        scale = max(1.0, float(np.max(mat)))
+        scale = np.max(mat)
         if np.max(np.abs(mat - mat.T)) > _SYM_TOL * scale:
             raise DataError(f"space {self.space_id!r}: distance matrix not symmetric")
         if np.max(np.abs(np.diag(mat))) > _SYM_TOL * scale:

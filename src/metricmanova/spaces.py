@@ -102,7 +102,7 @@ def _validate_laplacian_stack(stack: np.ndarray) -> None:
     Laplacians with exactly zero row sums has row sums of rounding size."""
     if not np.all(np.isfinite(stack)):
         raise DataError("non-finite Laplacian entry")
-    tol = _LAP_TOL * max(1.0, float(np.max(np.abs(stack))))
+    tol = _LAP_TOL * np.max(np.abs(stack))
     if np.max(np.abs(stack - stack.transpose(0, 2, 1))) > tol:
         raise DataError("Laplacian not symmetric")
     if np.max(np.abs(stack.sum(axis=2))) > tol:

@@ -15,6 +15,7 @@ summed the moments before that, which agree with it for two or more spaces
 as long as no product overflows (the masks' 0 * inf is NaN).
 """
 
+import decimal
 import warnings
 
 import numpy as np
@@ -270,6 +271,73 @@ def _logm(A):
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", "logm result may be inaccurate", RuntimeWarning)
         return scipy.linalg.logm(A)
+
+
+_DIGITS50 = decimal.Context(prec=50)
+
+
+def _dec_sym2(M):
+    """Entries (a, b, d) of a 2x2 matrix as exact Decimals, b from the lower
+    triangle as LAPACK reads it."""
+    return tuple(decimal.Decimal(float(x)) for x in (M[0][0], M[1][0], M[1][1]))
+
+
+def _dec_eigvals2(a, b, d):
+    half_gap = (((a - d) / 2) ** 2 + b * b).sqrt()
+    mid = (a + d) / 2
+    return mid + half_gap, mid - half_gap
+
+
+def oracle_eigvals_2x2(M):
+    """(largest, smallest) eigenvalues of a symmetric 2x2 matrix, computed at
+    50 significant digits and rounded once."""
+    with decimal.localcontext(_DIGITS50):
+        return tuple(float(x) for x in _dec_eigvals2(*_dec_sym2(M)))
+
+
+def oracle_matrix_log_2x2(M):
+    """Principal log of a 2x2 SPD matrix at 50 digits by Sylvester's formula
+    (g1*(M - l2*I) - g2*(M - l1*I)) / (l1 - l2), g = log l; log(l)*I when the
+    eigenvalues coincide."""
+    with decimal.localcontext(_DIGITS50):
+        a, b, d = _dec_sym2(M)
+        l1, l2 = _dec_eigvals2(a, b, d)
+        g1, g2 = l1.ln(), l2.ln()
+        if l1 == l2:
+            out = [[g1, 0], [0, g1]]
+        else:
+            gap = l1 - l2
+            out = [[(g1 * (a - l2) - g2 * (a - l1)) / gap, (g1 - g2) * b / gap],
+                   [(g1 - g2) * b / gap, (g1 * (d - l2) - g2 * (d - l1)) / gap]]
+        return np.array([[float(x) for x in row] for row in out])
+
+
+def _dec_generalized_eigvals2(A, B):
+    """Roots lam1 >= lam2 of det(B - lam*A) = 0 by the quadratic formula.  Its
+    cancellation when A ~ B costs twice the digits of |log lam|, at most about
+    20 of the 50 on the test grid.  B's off-diagonal is the mean of its two
+    entries."""
+    a, b, d = _dec_sym2(A)
+    p, _, r = _dec_sym2(B)
+    q = (decimal.Decimal(float(B[0][1])) + decimal.Decimal(float(B[1][0]))) / 2
+    det_a, det_b = a * d - b * b, p * r - q * q
+    half_trace = (a * r + d * p - 2 * b * q) / 2
+    root = max(half_trace * half_trace - det_a * det_b, decimal.Decimal(0)).sqrt()
+    lam1 = (half_trace + root) / det_a
+    return lam1, det_b / (det_a * lam1)  # the product of the roots is det_b / det_a
+
+
+def oracle_generalized_eigvals_2x2(A, B):
+    """(largest, smallest) eigenvalues of A^-1 B for 2x2 SPD A, at 50 digits."""
+    with decimal.localcontext(_DIGITS50):
+        return tuple(float(x) for x in _dec_generalized_eigvals2(A, B))
+
+
+def oracle_airm_sq_2x2(A, B):
+    """Squared AIRM distance between 2x2 SPD matrices at 50 digits."""
+    with decimal.localcontext(_DIGITS50):
+        lam1, lam2 = _dec_generalized_eigvals2(A, B)
+        return float(lam1.ln() ** 2 + lam2.ln() ** 2)
 
 
 def oracle_r_statistics(per_group, pooled, labels, kind):

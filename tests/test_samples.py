@@ -126,6 +126,16 @@ class TestFrechetMean:
         with pytest.raises(DataError):
             frechet_mean(space)
 
+    def test_tolerances_scale_with_tiny_distances(self):
+        # the symmetry and zero-diagonal tolerances are relative to the
+        # largest distance, not to max(1, largest distance)
+        with pytest.raises(DataError, match="not symmetric"):
+            distance_matrix_space("d", np.array([[0.0, 1e-12], [5e-11, 0.0]]))
+        with pytest.raises(DataError, match="diagonal"):
+            distance_matrix_space("d", np.array([[1e-13, 1e-12], [1e-12, 0.0]]))
+        rounded = 1e-12 * np.array([[0.0, 1.0 + 1e-15], [1.0, 0.0]])
+        assert distance_matrix_space("d", rounded).pairwise()[0, 1] > 0.0
+
     def test_custom_exact_solver_used(self):
         space = custom_space(
             "c",

@@ -136,6 +136,14 @@ class TestLaplacian:
         with pytest.raises(DataError, match="row sums"):
             laplacian_space("L", laps)
 
+    def test_tolerance_scales_down_with_tiny_entries(self):
+        # relative to the largest entry, not to max(1, largest entry)
+        tiny = 1.0e-12 * np.array([[1.0, -1.0], [-1.0, 1.0]])
+        LaplacianMatrix(tiny)
+        tiny[0] += [5.0e-11, -5.0e-11]
+        with pytest.raises(DataError, match="not symmetric"):
+            LaplacianMatrix(tiny)
+
 
 def _random_metric_triples(rng, make_point, distance, n=100, tri_slack=1e-12):
     for _ in range(n):

@@ -1,12 +1,17 @@
 """Tests for symmetric eigendecomposition, matrix log, and SPD distances."""
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
 
 from metricmanova.errors import DataError, SingularMatrixError
 from metricmanova.spd import (
+    SPD_FLOOR_REL,
     SpdMatrix,
+    _airm_sq_lapack,
+    _matrix_log_lapack,
     matrix_exp_sym,
     matrix_log,
     ridge_repair,
@@ -16,7 +21,13 @@ from metricmanova.spd import (
     sym_eig,
 )
 
-from oracles import oracle_spd_distance
+from oracles import (
+    oracle_airm_sq_2x2,
+    oracle_eigvals_2x2,
+    oracle_generalized_eigvals_2x2,
+    oracle_matrix_log_2x2,
+    oracle_spd_distance,
+)
 
 
 def random_spd(rng, dim, max_cond=1e3):
@@ -88,6 +99,19 @@ class TestSpdMatrix:
     def test_rejects_indefinite(self):
         with pytest.raises(DataError):
             SpdMatrix(np.diag([1.0, -0.5]))
+
+    def test_tolerances_scale_with_tiny_matrices(self):
+        # the PSD and symmetry tolerances are relative to the matrix's own
+        # magnitude, not to max(1, magnitude)
+        with pytest.raises(DataError, match="semi-definite"):
+            SpdMatrix(np.diag([1e-12, -1e-11]))
+        with pytest.raises(ValueError, match="not symmetric"):
+            SpdMatrix(np.array([[1e-12, 5e-11], [0.0, 1e-12]]))
+        with pytest.raises(DataError, match="semi-definite"):
+            SpdMatrix(-np.eye(2))
+        tiny = 1e-12 * np.array([[2.0, 1.0 + 1e-15], [1.0, 2.0]])
+        assert SpdMatrix(tiny).is_strictly_pd
+        assert not SpdMatrix(np.diag([1e-12, -1e-30])).is_strictly_pd
 
     def test_allows_semidefinite(self):
         m = SpdMatrix(np.diag([1.0, 0.0]))
@@ -171,7 +195,8 @@ class TestSpdDistances:
 
 class TestBatchedPrimitives:
     # the scalar helpers are views of these kernels, so they are checked
-    # against scipy rather than against the scalar path
+    # against scipy rather than against the scalar path; the 3x3 stacks here
+    # take the LAPACK path, the 2x2 closed forms are TestClosedForms2x2
     def test_stack_matrix_log_matches_scipy_logm(self):
         rng = np.random.default_rng(28)
         mats = np.stack([random_spd(rng, 3) for _ in range(10)])
@@ -198,3 +223,157 @@ class TestBatchedPrimitives:
         assert valid.tolist() == [True, False]
         sq, valid = stack_airm_sq(np.stack([good, bad]), np.stack([good, good]))
         assert valid.tolist() == [True, False]
+
+
+# -- 2x2 closed forms against a 50-digit oracle -------------------------------
+#
+# Each cell of the grid is a condition number of A, up to the strict-PD floor,
+# crossed with a B: random, or A + delta*P for a random PSD P of A's scale,
+# the R_mu case of a pooled against a weighted covariance.  A cell passes when
+# the closed form's worst relative error against the oracle is at most
+# 4 x LAPACK's + 1e-14.  Near A = B LAPACK's own error grows as eps/delta
+# (about 1e-4 at delta = 1e-10), so the gate is relative to the oracle, not a
+# fixed distance from LAPACK's results.
+
+KAPPAS = (1.0, 1.0 + 1e-14, 1.0 + 1e-8, 2.0, 1e3, 1e6, 1e9, 1e11, "floor")
+B_KINDS = ("random", 1e-2, 1e-6, 1e-10)
+GRID_ITEMS = 64
+_EPS = np.finfo(float).eps
+# an item whose oracle eigenvalue ratio lies within this many eps (times the
+# condition of A, for A^-1 B) of the floor may take either mask
+_FLOOR_MARGIN = 16.0
+
+
+def rotated(rng, eig):
+    """(n, 2, 2) exactly symmetric matrices with eigenvalues ``eig`` (n, 2)
+    and random eigenvectors."""
+    t = rng.uniform(0.0, np.pi, len(eig))
+    c, s = np.cos(t), np.sin(t)
+    Q = np.stack([np.stack([c, -s], -1), np.stack([s, c], -1)], -2)
+    M = (Q * eig[:, None, :]) @ np.swapaxes(Q, -1, -2)
+    return 0.5 * (M + np.swapaxes(M, -1, -2))
+
+
+def grid_cell(kappa, b_kind, n=GRID_ITEMS):
+    """(A, B) stacks of one grid cell, seeded by the cell.  A has a random
+    scale e^(+-[1, 4]), which keeps |log A| away from 0; "floor" spreads the
+    condition of A by 5% either side of 1/SPD_FLOOR_REL."""
+    rng = np.random.default_rng([KAPPAS.index(kappa), B_KINDS.index(b_kind)])
+    scale = np.exp(rng.choice([-1.0, 1.0], n) * rng.uniform(1.0, 4.0, n))
+    if kappa == "floor":
+        kappa = np.exp(rng.uniform(-0.05, 0.05, n)) / SPD_FLOOR_REL
+    A = rotated(rng, scale[:, None] * np.stack([np.ones(n), 1.0 / np.broadcast_to(kappa, n)], -1))
+    if b_kind == "random":
+        B = rotated(rng, np.exp(rng.uniform(-5.0, 5.0, (n, 2))))
+    else:
+        B = A + b_kind * rotated(rng, scale[:, None] * rng.uniform(0.0, 1.0, (n, 2)))
+    return A, B
+
+
+def _floor_distance(l1, l2):
+    return abs(l2 - SPD_FLOOR_REL * max(l1, 0.0)) / abs(l1)
+
+
+def airm_cell_errors(A, B):
+    """(closed-form worst error, LAPACK worst error, items compared, items
+    whose masks differ away from the floor) of stack_airm_sq on one cell."""
+    sq_c, ok_c = stack_airm_sq(A, B)
+    sq_l, ok_l = _airm_sq_lapack(A, B)
+    worst_c = worst_l = 0.0
+    compared = mask_diffs = 0
+    for i in range(len(A)):
+        la1, la2 = oracle_eigvals_2x2(A[i])
+        near = _floor_distance(la1, la2) <= _FLOOR_MARGIN * _EPS
+        if la2 > 0.0:
+            mu1, mu2 = oracle_generalized_eigvals_2x2(A[i], B[i])
+            near |= _floor_distance(mu1, mu2) <= _FLOOR_MARGIN * _EPS * la1 / la2
+        if ok_c[i] != ok_l[i] and not near:
+            mask_diffs += 1
+        if ok_c[i] and ok_l[i]:
+            want = oracle_airm_sq_2x2(A[i], B[i])
+            worst_c = max(worst_c, abs(sq_c[i] - want) / want)
+            worst_l = max(worst_l, abs(sq_l[i] - want) / want)
+            compared += 1
+    return worst_c, worst_l, compared, mask_diffs
+
+
+def log_cell_errors(A):
+    """``airm_cell_errors`` for stack_matrix_log, relative in the Frobenius norm."""
+    logs_c, ok_c = stack_matrix_log(A)
+    logs_l, ok_l = _matrix_log_lapack(A)
+    worst_c = worst_l = 0.0
+    compared = mask_diffs = 0
+    for i in range(len(A)):
+        l1, l2 = oracle_eigvals_2x2(A[i])
+        if ok_c[i] != ok_l[i] and _floor_distance(l1, l2) > _FLOOR_MARGIN * _EPS:
+            mask_diffs += 1
+        if ok_c[i] and ok_l[i]:
+            want = oracle_matrix_log_2x2(A[i])
+            norm = np.linalg.norm(want)
+            worst_c = max(worst_c, np.linalg.norm(logs_c[i] - want) / norm)
+            worst_l = max(worst_l, np.linalg.norm(logs_l[i] - want) / norm)
+            compared += 1
+    return worst_c, worst_l, compared, mask_diffs
+
+
+class TestClosedForms2x2:
+    @pytest.mark.parametrize("b_kind", B_KINDS)
+    @pytest.mark.parametrize("kappa", KAPPAS)
+    def test_airm_within_lapack_error(self, kappa, b_kind):
+        worst_c, worst_l, compared, mask_diffs = airm_cell_errors(*grid_cell(kappa, b_kind))
+        assert compared > 0
+        assert mask_diffs == 0
+        assert worst_c <= 4.0 * worst_l + 1e-14
+
+    @pytest.mark.parametrize("kappa", KAPPAS)
+    def test_matrix_log_within_lapack_error(self, kappa):
+        A, _ = grid_cell(kappa, "random")
+        worst_c, worst_l, compared, mask_diffs = log_cell_errors(A)
+        assert compared > 0
+        assert mask_diffs == 0
+        assert worst_c <= 4.0 * worst_l + 1e-14
+
+    def test_near_equal_airm_beats_lapack(self):
+        # near A = B the closed form takes log1p of the eigenvalues of
+        # L^-1 (B - A) L^-T, where LAPACK's log(mu) keeps an error of eps
+        worst_c, worst_l, _, _ = airm_cell_errors(*grid_cell(2.0, 1e-10))
+        assert worst_c <= 1e-14 < worst_l
+
+    def test_small_generalized_eigenvalue_from_determinants(self):
+        # A and B of condition 1e3 with unrelated eigenvectors give A^-1 B a
+        # condition near 1e6; its small eigenvalue from det(B)/det(A) keeps
+        # full precision, where C's own determinant would cancel
+        n = 64
+        A = rotated(np.random.default_rng(1), np.stack([np.ones(n), np.full(n, 1e-3)], -1))
+        B = rotated(np.random.default_rng(2), np.stack([np.ones(n), np.full(n, 1e-3)], -1))
+        worst_c, worst_l, compared, _ = airm_cell_errors(A, B)
+        assert compared == n
+        assert worst_c <= 1e-13 < worst_l
+
+    def test_bad_items_are_invalid_with_finite_placeholders(self):
+        nan, inf = np.nan, np.inf
+        bad = np.array([
+            [[nan, 0.0], [0.0, 1.0]],
+            [[1.0, nan], [nan, 1.0]],
+            [[inf, 0.0], [0.0, 1.0]],
+            [[-inf, 0.0], [0.0, 1.0]],
+            [[inf, inf], [inf, inf]],
+            [[1.0, 0.0], [0.0, 0.0]],  # singular
+            [[1.0, 1.0], [1.0, 1.0]],  # singular, off-diagonal
+            [[1.0, 0.0], [0.0, -1.0]],  # indefinite
+            [[-1.0, 0.0], [0.0, -2.0]],  # negative definite
+            [[0.0, 0.0], [0.0, 0.0]],
+            [[1.0, 0.0], [0.0, 1e-13]],  # below the strict-PD floor
+        ])
+        good = np.broadcast_to(np.array([[2.0, 0.5], [0.5, 1.0]]), bad.shape)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            logs, ok_log = stack_matrix_log(bad)
+            sq_ab, ok_ab = stack_airm_sq(bad, good)
+            sq_ba, ok_ba = stack_airm_sq(good, bad)
+            sq_bb, ok_bb = stack_airm_sq(bad, bad)
+        for ok in (ok_log, ok_ab, ok_ba, ok_bb):
+            assert not ok.any()
+        for values in (logs, sq_ab, sq_ba, sq_bb):
+            assert np.isfinite(values).all()
+        assert ok_log.tolist() == _matrix_log_lapack(bad)[1].tolist()
