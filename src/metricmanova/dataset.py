@@ -19,8 +19,9 @@ lower-triangular distance block::
 Euclidean blocks are declared as ``space ID euclidean-l2 dim K`` (or
 ``euclidean-l1``) with K coordinates per line; Laplacian blocks as
 ``space ID laplacian nodes M`` with M*M row-major entries per line.
-Blank lines and ``#`` comments are ignored.  All numbers are full-precision
-decimal text.
+Blank lines and ``#`` comments are ignored, so labels and space ids can
+contain neither whitespace nor ``#``; writing one raises ``DataError``.  All
+numbers are full-precision decimal text.
 """
 
 from __future__ import annotations
@@ -65,23 +66,30 @@ def _space_payload(sp: SpaceSample) -> tuple:
     )
 
 
+def _writable(what: str, tok: str) -> str:
+    """``tok`` if the reader gets it back as one field, else a DataError."""
+    if not tok:
+        reason = "empty"
+    elif any(ch.isspace() for ch in tok):
+        reason = "whitespace separates fields"
+    elif "#" in tok:
+        reason = "'#' starts a comment"
+    else:
+        return tok
+    raise DataError(f"{what} {tok!r} cannot be written ({reason})")
+
+
 def dumps_msd(ms: GroupedMultiSample) -> str:
     """Serialize a multisample to ``.msd`` text."""
     out = io.StringIO()
     out.write(f"msd {_FORMAT_VERSION}\n")
     out.write(f"observations {ms.n}\n")
     out.write(f"spaces {ms.n_spaces}\n")
-    tokens = [str(lbl) for lbl in ms.labels]
-    for tok in tokens:
-        if not tok or any(ch.isspace() for ch in tok):
-            raise DataError(f"label {tok!r} cannot be written (whitespace or empty)")
+    tokens = [_writable("label", str(lbl)) for lbl in ms.labels]
     out.write("labels " + " ".join(tokens) + "\n")
     for sp in ms.spaces:
         kind, extra, rows = _space_payload(sp)
-        sid = str(sp.space_id)
-        if not sid or any(ch.isspace() for ch in sid):
-            raise DataError(f"space id {sid!r} cannot be written (whitespace or empty)")
-        head = ["space", sid, kind] + extra
+        head = ["space", _writable("space id", str(sp.space_id)), kind] + extra
         out.write(" ".join(head) + "\n")
         if kind == "distances":
             for i in range(1, ms.n):
@@ -93,8 +101,9 @@ def dumps_msd(ms: GroupedMultiSample) -> str:
 
 
 def save_msd(path, ms: GroupedMultiSample) -> None:
+    text = dumps_msd(ms)  # a sample that cannot be written leaves no file
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps_msd(ms))
+        fh.write(text)
 
 
 class _LineReader:

@@ -12,11 +12,16 @@ both kinds of mean: with the coordinates of an L2-embedded space
 centroids, and with the squared distance matrix of any other space each
 candidate's objective; the medoid is the lowest-index member within
 2(n_j - 1)·eps·min of the group's least objective, whatever the summation
-order.  Only spaces with a user-supplied exact-mean solver keep a loop over
-labelings and groups.  ``moments`` walks the labelings in chunks small enough
-that each chunk's temporaries stay resident in a core's L2 cache; that bounds
-memory too, but the point is speed: fresh multi-megabyte temporaries cost
-more in page faults and memory traffic than their arithmetic.  A labeling's
+order.  Only that pick leaves the medoid kernel, so its sums run in four-row
+GEMM blocks over the (labelings * groups, n) mask rows, on one BLAS thread
+and faster than one three-row GEMM per labeling, and non-members get an
+additive +inf.  The centroid sums keep one GEMM per labeling: their bits
+reach the statistics, and four-row blocks moved them.  Only spaces with a
+user-supplied exact-mean solver keep a loop over labelings and groups.
+``moments`` walks the labelings in chunks small enough that each chunk's
+temporaries stay resident in a core's L2 cache; that bounds memory too, but
+the point is speed: fresh multi-megabyte temporaries cost more in page
+faults and memory traffic than their arithmetic.  A labeling's
 results never depend on the chunk it falls in.  The permutation sweep in
 ``inference.run_tests`` calls ``moments`` on coarser blocks, of at most
 ``_CHUNK_BUDGET // n`` labelings: a block's widest array is its label stack,

@@ -22,6 +22,15 @@ from .errors import DataError
 # comparison slack used when checking user-supplied distance matrices
 _SYM_TOL = 1.0e-10
 
+# rows of the mask stack per GEMM call in :func:`_medoid_sums`.  On a 2-core
+# AVX-512 Xeon with OpenBLAS 0.3.31, the sums of one 29-labeling chunk
+# (J = 3, n = 300) took 0.43-0.50 ms in four-row calls against 0.61-0.97 ms
+# as one three-row GEMM per labeling, with bit-identical sums.  Taller calls
+# start OpenBLAS's second thread: eight rows from n = 360, twelve at n = 300
+# (0.38 ms wall, 0.80 ms CPU), one 87-row GEMM at n = 300 (0.21 ms wall,
+# 0.46 ms CPU).  Four rows stay on one thread up to n = 500 at least
+_GEMM_ROWS = 4
+
 
 class SpaceSample:
     """Observations from one metric space, in one of three representations.
@@ -205,18 +214,52 @@ def _clipped_squares(dist: np.ndarray) -> np.ndarray:
     return np.minimum(np.square(dist), np.finfo(float).max)
 
 
+def _medoid_sums(masks: np.ndarray, squares: np.ndarray) -> np.ndarray:
+    """(L, J, n) group sums ``masks @ squares`` of an (L, J, n) stack of 0/1
+    masks: each member's sum of ``squares`` over its group, capped at the
+    largest float, and +inf for every non-member.
+
+    The L·J mask rows are multiplied ``_GEMM_ROWS`` at a time into one
+    preallocated array; the last call takes the final ``_GEMM_ROWS`` rows,
+    overlapping the one before it, because a one-row product runs as a GEMV
+    whose sums differ from a GEMM row's in the last bits.  Non-members get an
+    additive penalty, 1/mask − 1: 0 for a member, +inf for a non-member.
+    Sums that overflow are expected and capped, so no warning is raised."""
+    L, J, n = masks.shape
+    rows = masks.reshape(L * J, n)
+    sums = np.empty((L * J, n), dtype=float)
+    last = max(L * J - _GEMM_ROWS, 0)
+    with np.errstate(over="ignore", divide="ignore"):
+        for start in range(0, L * J, _GEMM_ROWS):
+            block = slice(min(start, last), min(start, last) + _GEMM_ROWS)
+            np.matmul(rows[block], squares, out=sums[block])
+        np.minimum(sums, np.finfo(float).max, out=sums)  # members stay below inf
+        penalty = np.reciprocal(rows)
+    penalty -= 1.0
+    sums += penalty
+    return sums.reshape(L, J, n)
+
+
 def _medoids(masks: np.ndarray, squares: np.ndarray) -> np.ndarray:
     """(L, J) medoid of each group of an (L, J, n) stack of 0/1 masks: the
     lowest-index member whose group sum of ``squares`` lies within
     2(n_j - 1)·eps·min of the group's least sum, the rounding bound of any
-    n_j-term summation order (Higham 2002, §4.2)."""
+    n_j-term summation order (Higham 2002, §4.2).
+
+    Only this pick leaves the function, and the slack makes it independent
+    of how the sums are grouped, so :func:`_medoid_sums` multiplies the masks
+    in four-row GEMM blocks and gives non-members an additive +inf.  The
+    centroid sums ``masks @ X`` in the engine keep one GEMM per labeling:
+    their bits reach the statistics, four-row blocks moved them at k ≤ 10
+    (and with them the continuous T_FA p-values), and they were slower at
+    small k."""
     big = np.finfo(float).max
-    sums = np.minimum(masks @ squares, big)  # members stay below non-members' inf
-    sums[masks == 0.0] = np.inf
+    sums = _medoid_sums(masks, squares)
     least = sums.min(axis=2, keepdims=True)
     slack = 2.0 * (masks.sum(axis=2, keepdims=True) - 1.0) * np.finfo(float).eps
     # capped, or a group whose sums clip to the largest float admits +inf
-    limit = np.minimum(least + slack * least, big)
+    with np.errstate(over="ignore"):
+        limit = np.minimum(least + slack * least, big)
     return np.argmin(sums > limit, axis=2)  # the first member within the limit
 
 

@@ -33,6 +33,21 @@ def oracle_medoid(dist, idx):
     return best
 
 
+def oracle_medoid_in_order(squares, idx):
+    """Medoid of the rows ``idx`` of a squared-distance matrix: each
+    candidate's squares over ``idx`` added one at a time in index order as
+    Python floats, the total capped at the largest float, and the lowest index
+    among the least totals."""
+    big = float(np.finfo(float).max)
+    totals = []
+    for cand in idx:
+        total = 0.0
+        for j in idx:
+            total += float(squares[cand, j])
+        totals.append(min(total, big))
+    return idx[totals.index(min(totals))]
+
+
 def _group_masks(codes, J):
     """(L, J, n) float 0/1 membership masks of an (L, n) stack of group codes."""
     return (codes[:, None, :] == np.arange(J)[None, :, None]).astype(float)

@@ -118,6 +118,27 @@ class TestValidation:
         with pytest.raises(DataError):
             dumps_msd(ms)
 
+    @pytest.mark.parametrize(
+        "labels, space_id, reason",
+        [
+            (["a#1", "a#1", "b", "b"], "X", "'#' starts a comment"),
+            (["a", "a", "b", "b"], "X#1", "'#' starts a comment"),
+            (["a#1", "a#1", "b", "b"], "X#1", "'#' starts a comment"),
+            (["a 1", "a 1", "b", "b"], "X", "whitespace separates fields"),
+            (["a", "a", "b", "b"], "X\t1", "whitespace separates fields"),
+            (["", "", "b", "b"], "X", "empty"),
+        ],
+        ids=["hash-label", "hash-space-id", "hash-both", "blank-label", "tab-space-id", "empty-label"],
+    )
+    def test_unreadable_tokens_are_not_written(self, tmp_path, labels, space_id, reason):
+        # a '#' in a label or space id once saved and then failed to load with
+        # "expected 'labels' with 4 entries"
+        ms = GroupedMultiSample([euclidean_space(space_id, np.arange(4.0)[:, None])], labels)
+        path = tmp_path / "x.msd"
+        with pytest.raises(DataError, match=f"cannot be written \\({reason}\\)$"):
+            save_msd(path, ms)
+        assert not path.exists()
+
     def test_comments_and_blank_lines_ignored(self):
         ms = gen_scenario1(Scenario1Params.from_effect(1, 0.0, n1=3, n2=3), seed=4)
         text = dumps_msd(ms)

@@ -11,6 +11,9 @@ from metricmanova.rng import permuted_labels
 from metricmanova.samples import (
     DistanceProfile,
     GroupedMultiSample,
+    _clipped_squares,
+    _medoid_sums,
+    _medoids,
     distance_profile,
     frechet_mean,
     frechet_variance,
@@ -27,6 +30,7 @@ from oracles import (
     oracle_group_profiles,
     oracle_mask_einsums,
     oracle_medoid,
+    oracle_medoid_in_order,
     oracle_moment_stack,
 )
 
@@ -282,6 +286,55 @@ class TestDistanceProfile:
             assert np.array_equal(col, ref), sp.space_id
             assert res.objective == float(np.mean(col * col))
             assert eng.pooled_means[s] == res
+
+
+class TestMedoidSums:
+    """``_medoid_sums`` multiplies the L·J mask rows four at a time, the last
+    call taking the final four rows; these stacks leave every remainder of
+    L·J mod 4, so full blocks and the overlapping last one run in one call."""
+
+    @staticmethod
+    def _squares(n, far):
+        rng = np.random.default_rng(17)
+        upper = np.triu(rng.integers(1, 4, size=(n, n)).astype(float), 1)
+        # small integers tie many group sums exactly; observations 0, 4, 9
+        # and 13 are one point, and ``far`` moves observation 5 away from all
+        # others (at 1e200 its squares overflow and clip to the largest float)
+        point = np.arange(n)
+        point[[4, 9, 13]] = 0
+        dist = (upper + upper.T)[np.ix_(point, point)]
+        dist[5, :] *= far
+        dist[:, 5] *= far
+        with np.errstate(over="ignore"):
+            return _clipped_squares(dist)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("far", [1.0, 1.0e200])
+    @pytest.mark.parametrize(
+        "J, L", [(1, 1), (2, 1), (2, 3), (3, 1), (3, 2), (3, 3), (3, 4), (3, 29), (5, 1), (5, 3)]
+    )
+    def test_blocks_match_one_product_and_the_in_order_rule(self, J, L, far):
+        n = 23
+        squares = self._squares(n, far)
+        rng = np.random.default_rng(100 * J + L)
+        codes = np.stack([rng.permutation(np.arange(n) % J) for _ in range(L)])
+        if J > 1:
+            # labeling 0's group 0 is the four copies of one point: zero sums
+            codes[0] = 1 + np.arange(n) % (J - 1)
+            codes[0, [0, 4, 9, 13]] = 0
+        masks = (codes[:, None, :] == np.arange(J)[None, :, None]).astype(float)
+        with np.errstate(over="ignore"):
+            plain = np.minimum(masks @ squares, np.finfo(float).max)
+        plain[masks == 0.0] = np.inf
+        sums = _medoid_sums(masks, squares)
+        assert sums.tobytes() == plain.tobytes()
+        picks = _medoids(masks, squares)
+        for l in range(L):
+            for j in range(J):
+                idx = np.flatnonzero(codes[l] == j)
+                assert picks[l, j] == oracle_medoid_in_order(squares, idx)
+        if J > 1:
+            assert np.all(sums[0, 0, [0, 4, 9, 13]] == 0.0)
 
 
 def _on_kernel_grid(test):
