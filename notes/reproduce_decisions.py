@@ -12,6 +12,7 @@ Run from the repository root, one section at a time:
     PYTHONPATH=src:tests python notes/reproduce_decisions.py power-curve --nsims 500 --r 1.5 3.0
     PYTHONPATH=src:tests python notes/reproduce_decisions.py euc-signal
     PYTHONPATH=src:tests python notes/reproduce_decisions.py kernel-accuracy
+    PYTHONPATH=src:tests python notes/reproduce_decisions.py kernel-accuracy --dim 3
 
 ``components`` runs the chi-square-calibrated ANOVA test (T_FA) on the
 scenario-1, study-1 null (delta=0, n1=n2=100) with replicate k's data drawn
@@ -53,7 +54,16 @@ import numpy as np
 import metricmanova as mm
 from metricmanova.distributions import chi2_upper_quantile
 from test_simulation import tfa_null_reports, tfa_null_rejections
-from test_spd import B_KINDS, GRID_ITEMS, KAPPAS, airm_cell_errors, grid_cell, log_cell_errors
+from test_spd import (
+    B_KINDS,
+    GRID_ITEMS,
+    KAPPAS,
+    airm3_cell_errors,
+    airm_cell_errors,
+    grid_cell,
+    grid_cell3,
+    log_cell_errors,
+)
 
 ALPHA = 0.05
 NSIMS = 1000  # criterion 1's replicate count
@@ -137,6 +147,14 @@ def cmd_euc_signal(args) -> None:
 
 
 def cmd_kernel_accuracy(args) -> None:
+    if args.dim == 3:
+        print("| kappa(A) | B | Cholesky inverse | solve-based | items | masks differing |")
+        print("|---|---|---|---|---|---|")
+        for kappa in KAPPAS:
+            for b_kind in B_KINDS:
+                errs = airm3_cell_errors(*grid_cell3(kappa, b_kind, args.items))
+                print(f"| {kappa} | {b_kind} | {errs[0]:.1e} | {errs[1]:.1e} | {errs[2]} | {errs[3]} |")
+        return
     print("| kappa(A) | B | closed form | LAPACK | items | masks differing |")
     print("|---|---|---|---|---|---|")
     for kappa in KAPPAS:
@@ -169,8 +187,9 @@ def main() -> None:
     curve.set_defaults(func=cmd_power_curve)
     signal = sub.add_parser("euc-signal", help="Euclidean covariance shift per r")
     signal.set_defaults(func=cmd_euc_signal)
-    kernels = sub.add_parser("kernel-accuracy", help="2x2 SPD kernels against the decimal oracle")
+    kernels = sub.add_parser("kernel-accuracy", help="SPD kernels against the decimal oracle")
     kernels.add_argument("--items", type=int, default=GRID_ITEMS)
+    kernels.add_argument("--dim", type=int, choices=(2, 3), default=2)
     kernels.set_defaults(func=cmd_kernel_accuracy)
     args = parser.parse_args()
     args.func(args)

@@ -29,8 +29,8 @@ and the statistics evaluated on each block's output cost a fixed overhead per
 call, so evaluating them per profile chunk ran 2.8x slower (131 ms against
 47 ms on a k=100 input with B=500).  The pooled means and their distance
 columns, and the clipped squared distances of medoid spaces, do not depend on
-the labels, so they are computed once per engine; each pooled column is the
-one ``frechet_mean`` measures.
+the labels, so they are computed once per engine, the pooled medoid from the
+same squares; each pooled column is the one ``frechet_mean`` measures.
 
 Most axes here are only 2 or 3 wide (coordinates, spaces, groups), so data
 moves over long axes.  A gather takes one flat row index per observation,
@@ -120,15 +120,19 @@ class StatEngine:
         self.n = ms.n
         self.S = ms.n_spaces
         self.J = ms.n_groups
-        pooled = [_mean_and_distances(sp, np.arange(self.n)) for sp in ms.spaces]
-        self.pooled_means = [res for res, _ in pooled]
-        self.pooled_profile = np.column_stack([d for _, d in pooled])
-        self.pooled_cov = self.pooled_profile.T @ self.pooled_profile / self.n
         self._embeddings = [sp.embedding for sp in ms.spaces]
         self._squares = [
             None if sp.has_exact_mean else _clipped_squares(sp.pairwise())
             for sp in ms.spaces
         ]
+        everyone = np.arange(self.n)
+        pooled = [_mean_and_distances(sp, everyone, sq) for sp, sq in zip(ms.spaces, self._squares)]
+        self.pooled_means = [res for res, _ in pooled]
+        self.pooled_profile = np.column_stack([d for _, d in pooled])
+        # an entry past the largest float reads inf, and the statistics built
+        # on it fail their observed checks with the documented errors
+        with np.errstate(over="ignore"):
+            self.pooled_cov = self.pooled_profile.T @ self.pooled_profile / self.n
 
     # -- distance profiles ----------------------------------------------------
 

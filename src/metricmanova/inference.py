@@ -160,26 +160,6 @@ def _fa_stack(
     return F, U, T, valid
 
 
-def _spd_points(kind: str, mats: np.ndarray, ridge: bool) -> Tuple[np.ndarray, np.ndarray]:
-    """What ``kind`` compares for each matrix of a stack, plus validity: the
-    matrix itself, or its log for LERM.  The ridge repairs AIRM and LERM
-    inputs only."""
-    if ridge and kind != "Euc":
-        mats = stack_ridge(mats)
-    if kind == "LERM":
-        return stack_matrix_log(mats)
-    return mats, np.ones(mats.shape[:-2], dtype=bool)
-
-
-def _spd_dist(kind: str, X: np.ndarray, Y: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Distances between broadcast stacks of ``_spd_points``, plus validity."""
-    if kind == "AIRM":
-        sq, ok = stack_airm_sq(X, Y)
-        return np.sqrt(sq), ok
-    d = np.linalg.norm(X - Y, axis=(-2, -1))
-    return d, np.ones(d.shape, dtype=bool)
-
-
 def _r_stack(
     mom: MomentStack,
     pooled_cov: np.ndarray,
@@ -191,38 +171,67 @@ def _r_stack(
     """(values, validity) per (kind, target) over the labeling stack.
 
     ``"mean"`` is d(pooled, weighted); ``"cov"``/``"cor"`` sum
-    gamma_j*gamma_j' d(M_j, M_j') over group pairs j < j'.
+    gamma_j*gamma_j' d(M_j, M_j') over group pairs j < j'.  One stack holds
+    every matrix the targets compare: the pooled and the weighted covariances
+    for ``"mean"``, the group covariances and the group correlations.  Each
+    distance is one (X, Y) index pair into it, so each kind makes one kernel
+    call for all targets.  The ridge repairs AIRM and LERM inputs only.  With
+    LERM requested the stack's logs are taken first, and their validity mask
+    at X is AIRM's floor test on A.
     """
     L, J = mom.counts.shape
     j1, j2 = np.triu_indices(J, 1)
     pair_w = mom.gammas[:, j1] * mom.gammas[:, j2]
-    mats = {"cov": mom.group_cov}
-    if "cor" in targets:
-        eye = np.eye(pooled_cov.shape[0])
-        mats["cor"] = np.where(mom.cor_valid[:, :, None, None], mom.group_cor, eye)
-        cor_ok = mom.cor_valid.all(axis=1)
+    rows = np.arange(L)[:, None]
+    parts, X, Y, weights = [], [], [], []
+    size = 0
+    for target in targets:
+        if target == "mean":
+            parts += [pooled_cov[None], mom.weighted_cov]
+            X.append(np.full((L, 1), size))
+            Y.append(size + 1 + rows)
+            weights.append(np.ones((1, 1)))
+            size += 1 + L
+            continue
+        if target == "cov":
+            mats = mom.group_cov
+        else:
+            eye = np.eye(pooled_cov.shape[0])
+            mats = np.where(mom.cor_valid[:, :, None, None], mom.group_cor, eye)
+        parts.append(mats.reshape((L * J,) + mats.shape[2:]))
+        X.append(size + rows * J + j1)
+        Y.append(size + rows * J + j2)
+        weights.append(pair_w)
+        size += L * J
+    stack = np.concatenate(parts)
+    # target t's distances are entries ends[t] .. ends[t + 1] of the pair axis
+    ends = np.cumsum([0] + [x.size for x in X])
+    X = np.concatenate([x.ravel() for x in X])
+    Y = np.concatenate([y.ravel() for y in Y])
+    spd = stack_ridge(stack) if ridge else stack
+    if "LERM" in kinds:
+        logs, log_ok = stack_matrix_log(spd)
 
     out: Dict[Tuple[str, str], Tuple[np.ndarray, np.ndarray]] = {}
     for kind in kinds:
-        for target in targets:
-            if target == "mean":
-                X, x_ok = _spd_points(kind, pooled_cov[None, None], ridge)
-                Y, y_ok = _spd_points(kind, mom.weighted_cov[:, None], ridge)
-                points_ok = (x_ok & y_ok)[:, 0]
-                weights = np.ones((1, 1))
-            else:
-                points, p_ok = _spd_points(kind, mats[target], ridge)
-                X, Y = points[:, j1], points[:, j2]
-                points_ok = p_ok.all(axis=1)
-                weights = pair_w
-            d, d_ok = _spd_dist(kind, X, Y)
+        if kind == "AIRM":
+            sq, ok = stack_airm_sq(
+                spd[X], spd[Y], a_ok=log_ok[X] if "LERM" in kinds else None
+            )
+            d = np.sqrt(sq)
+        else:
+            points = logs if kind == "LERM" else stack
+            d = np.linalg.norm(points[X] - points[Y], axis=(-2, -1))
+            ok = log_ok[X] & log_ok[Y] if kind == "LERM" else np.ones(d.shape, dtype=bool)
+        for t, target in enumerate(targets):
+            d_t = d[ends[t]:ends[t + 1]].reshape(L, -1)
             vals = np.zeros(L)
-            for p in range(weights.shape[1]):
-                vals += weights[:, p] * d[:, p]
-            ok = points_ok & d_ok.all(axis=1)
+            for p in range(d_t.shape[1]):
+                vals += weights[t][:, p] * d_t[:, p]
+            ok_t = ok[ends[t]:ends[t + 1]].reshape(L, -1).all(axis=1)
             if target == "cor":
-                ok &= cor_ok
-            out[(kind, target)] = (vals, ok)
+                ok_t &= mom.cor_valid.all(axis=1)
+            out[(kind, target)] = (vals, ok_t)
     return out
 
 

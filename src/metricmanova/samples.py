@@ -210,8 +210,16 @@ class FrechetMeanResult:
 
 def _clipped_squares(dist: np.ndarray) -> np.ndarray:
     """Squared distances, clipped at the largest float so that an overflowed
-    square never meets a zero mask entry (0 * inf) in :func:`_medoids`."""
-    return np.minimum(np.square(dist), np.finfo(float).max)
+    square never meets a zero mask entry (0 * inf) in :func:`_medoids`.  The
+    overflow is expected, so no warning is raised."""
+    with np.errstate(over="ignore"):
+        return np.minimum(np.square(dist), np.finfo(float).max)
+
+
+def _mean_square(d: np.ndarray) -> float:
+    """Mean of ``d * d``; inf, without a warning, where a square overflows."""
+    with np.errstate(over="ignore"):
+        return float(np.mean(d * d))
 
 
 def _medoid_sums(masks: np.ndarray, squares: np.ndarray) -> np.ndarray:
@@ -286,20 +294,21 @@ def frechet_mean(sample: SpaceSample, subset: Optional[Sequence[int]] = None) ->
 
 
 def _mean_and_distances(
-    sample: SpaceSample, idx: np.ndarray
+    sample: SpaceSample, idx: np.ndarray, squares: Optional[np.ndarray] = None
 ) -> Tuple[FrechetMeanResult, np.ndarray]:
-    """Fréchet mean of the observations ``idx`` and their distances to it."""
+    """Fréchet mean of the observations ``idx`` and their distances to it.
+    ``squares``, the clipped squares among ``idx`` where the caller already
+    holds them, spares a medoid space building them again."""
     if sample.has_exact_mean:
         point, index = sample.mean_of(idx), None
         d = sample.distances_to(point, idx)
     else:
-        squares = _clipped_squares(sample.pairwise()[np.ix_(idx, idx)])
+        if squares is None:
+            squares = _clipped_squares(sample.pairwise()[np.ix_(idx, idx)])
         index = int(idx[_medoids(np.ones((1, 1, idx.size)), squares)[0, 0]])
         point, d = sample.point(index), sample.pairwise()[idx, index]
     solver = "exact" if index is None else "medoid"
-    result = FrechetMeanResult(
-        mean=point, objective=float(np.mean(d * d)), solver=solver, index=index
-    )
+    result = FrechetMeanResult(mean=point, objective=_mean_square(d), solver=solver, index=index)
     return result, d
 
 
@@ -314,7 +323,7 @@ def frechet_variance(
         d = sample.pairwise()[idx, mean.index]
     else:
         d = sample.distances_to(mean.mean, idx)
-    return float(np.mean(d * d))
+    return _mean_square(d)
 
 
 class GroupedMultiSample:

@@ -15,7 +15,15 @@ or below ``1e-12`` times the largest eigenvalue, instead of silently
 regularizing; callers may opt into an explicit ridge repair.
 
 The stacked kernels :func:`stack_airm_sq` and :func:`stack_matrix_log` take
-closed forms for 2x2 matrices, the two-space case, and LAPACK otherwise.  A
+closed forms for 2x2 matrices, the two-space case, and LAPACK otherwise.  For
+3x3 and larger, AIRM takes LAPACK's Cholesky factor L of A and inverts it by
+forward substitution, written out entry by entry over the whole stack, so
+C = L^-1 B L^-T is two batched matmuls and one ``eigvalsh`` (Higham 2002,
+Accuracy and Stability of Numerical Algorithms, section 8: a triangular
+inverse is as accurate as the triangular solves it replaces).  Its A-side
+floor test may be handed in as ``a_ok``; the R statistics pass the validity
+mask of the log kernel, which has already taken the eigenvalues of every
+matrix they compare.  A
 symmetric 2x2 matrix has eigenvalues m +- h, m = (a + d)/2 and
 h = hypot((a - d)/2, b), the smaller taken as det/(m + h) where m - h would
 cancel.  Its log is log(l2)*I + beta*(M - l2*I), beta = log1p(2h/l2)/(2h)
@@ -28,7 +36,7 @@ has the table.  Validity and placeholders follow the LAPACK path.
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple, Union
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -174,7 +182,11 @@ def spd_distance(kind: str, A: MatrixLike, B: MatrixLike, *, ridge: bool = False
 # more in per-matrix dispatch than in arithmetic, so both kernels branch on
 # shape[-1] == 2 to the scalar closed forms below.  Their floating-point
 # exceptions are silenced: a NaN, inf, singular or indefinite item fails the
-# validity test and gets a zero placeholder.
+# validity test and gets a zero placeholder.  Larger matrices keep LAPACK's
+# eigh, eigvalsh and Cholesky factor, but AIRM inverts the factor by forward
+# substitution in ufuncs over the stack instead of two LU solves per item
+# (per 1503-item 3x3 stack: solve 1.6 ms, cholesky 0.33 ms, matmul 0.11 ms),
+# and reads A's floor test from ``a_ok`` when the caller already has it.
 
 
 def _floor_ok(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -267,26 +279,48 @@ def _airm_sq_2x2(A: np.ndarray, B: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return sq, valid
 
 
-def _airm_sq_lapack(A: np.ndarray, B: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    wa = np.linalg.eigvalsh(A)
-    valid = _floor_ok(wa[..., 0], wa[..., -1])
-    A_safe = np.where(valid[..., None, None], A, np.eye(A.shape[-1]))
-    L = np.linalg.cholesky(A_safe)
-    Y = np.linalg.solve(L, B)
-    C = np.linalg.solve(L, np.swapaxes(Y, -1, -2))
+def _lower_inverse(L: np.ndarray) -> np.ndarray:
+    """Inverses of a stack of lower-triangular factors by forward substitution,
+    one ufunc call per entry and term over the whole stack."""
+    dim = L.shape[-1]
+    T = np.zeros(L.shape)
+    for i in range(dim):
+        T[..., i, i] = 1.0 / L[..., i, i]
+        for j in range(i):
+            acc = L[..., i, j] * T[..., j, j]
+            for k in range(j + 1, i):
+                acc += L[..., i, k] * T[..., k, j]
+            T[..., i, j] = -acc / L[..., i, i]
+    return T
+
+
+def _airm_sq_lapack(
+    A: np.ndarray, B: np.ndarray, a_ok: Optional[np.ndarray]
+) -> Tuple[np.ndarray, np.ndarray]:
+    if a_ok is None:
+        wa = np.linalg.eigvalsh(A)
+        a_ok = _floor_ok(wa[..., 0], wa[..., -1])
+    A_safe = np.where(a_ok[..., None, None], A, np.eye(A.shape[-1]))
+    T = _lower_inverse(np.linalg.cholesky(A_safe))
+    C = T @ B @ np.swapaxes(T, -1, -2)
     C = 0.5 * (C + np.swapaxes(C, -1, -2))
     w = np.linalg.eigvalsh(C)
-    valid = valid & _floor_ok(w[..., 0], w[..., -1])
+    valid = a_ok & _floor_ok(w[..., 0], w[..., -1])
     logs = np.log(np.where(w > 0, w, 1.0))
     return np.sum(logs * logs, axis=-1), valid
 
 
-def stack_airm_sq(A: np.ndarray, B: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+def stack_airm_sq(
+    A: np.ndarray, B: np.ndarray, a_ok: Optional[np.ndarray] = None
+) -> Tuple[np.ndarray, np.ndarray]:
     """Squared AIRM distances for broadcastable stacks of SPD matrices, with
     validity mask.
 
-    Invalid items get a finite placeholder; callers must apply the mask.
+    ``a_ok``, A's strict-PD floor test where the caller already has it (the
+    mask :func:`stack_matrix_log` gives for A), spares 3x3 and larger stacks
+    an ``eigvalsh`` of A; the 2x2 closed form ignores it.  Invalid items get a
+    finite placeholder; callers must apply the mask.
     """
     if A.shape[-1] == 2:
         return _airm_sq_2x2(A, B)
-    return _airm_sq_lapack(A, B)
+    return _airm_sq_lapack(A, B, a_ok)

@@ -13,6 +13,9 @@ rounding of every moment and that the engine's per-column ``np.bincount``
 follows; and ``oracle_mask_einsums`` keeps the three 0/1-mask einsums that
 summed the moments before that, which agree with it for two or more spaces
 as long as no product overflows (the masks' 0 * inf is NaN).
+``solve_airm_sq`` is no oracle either: it is the solve-based LAPACK AIRM
+kernel that three or more spaces ran before the Cholesky inverse, kept as the
+reference the accuracy gates of the SPD kernels compare against.
 """
 
 import decimal
@@ -21,6 +24,8 @@ import warnings
 import numpy as np
 import scipy.linalg
 import scipy.stats
+
+from metricmanova.spd import SPD_FLOOR_REL
 
 
 def oracle_medoid(dist, idx):
@@ -353,6 +358,107 @@ def oracle_airm_sq_2x2(A, B):
     with decimal.localcontext(_DIGITS50):
         lam1, lam2 = _dec_generalized_eigvals2(A, B)
         return float(lam1.ln() ** 2 + lam2.ln() ** 2)
+
+
+def _floor_ok(lo, hi):
+    return lo > SPD_FLOOR_REL * np.maximum(hi, 0.0)
+
+
+def solve_airm_sq(A, B):
+    """The solve-based LAPACK AIRM kernel, the package's 3x3-and-larger path
+    until its two LU solves gave way to an inverted Cholesky factor:
+    eigvalsh(A), cholesky, two ``solve``s and eigvalsh(C) per item.  It is the
+    reference the accuracy gates of the SPD kernels measure against."""
+    wa = np.linalg.eigvalsh(A)
+    valid = _floor_ok(wa[..., 0], wa[..., -1])
+    A_safe = np.where(valid[..., None, None], A, np.eye(A.shape[-1]))
+    L = np.linalg.cholesky(A_safe)
+    Y = np.linalg.solve(L, B)
+    C = np.linalg.solve(L, np.swapaxes(Y, -1, -2))
+    C = 0.5 * (C + np.swapaxes(C, -1, -2))
+    w = np.linalg.eigvalsh(C)
+    valid = valid & _floor_ok(w[..., 0], w[..., -1])
+    logs = np.log(np.where(w > 0, w, 1.0))
+    return np.sum(logs * logs, axis=-1), valid
+
+
+def _dec_matrix(M):
+    """A symmetric matrix as exact Decimals, the lower triangle mirrored as
+    LAPACK reads it."""
+    n = len(M)
+    return [[decimal.Decimal(float(M[max(i, j)][min(i, j)])) for j in range(n)] for i in range(n)]
+
+
+def _dec_jacobi_eigvals(M):
+    """Eigenvalues, descending, of a symmetric Decimal matrix by cyclic Jacobi
+    rotations (Golub & Van Loan, Matrix Computations, section 8.5), run until
+    no off-diagonal entry exceeds 1e-48 of the largest entry: by Weyl's
+    inequality no eigenvalue is then off by more than that much of the norm."""
+    n = len(M)
+    M = [row[:] for row in M]
+    tol = decimal.Decimal("1e-48") * max(abs(x) for row in M for x in row)
+    for _ in range(50):  # sweeps; convergence is quadratic
+        if max((abs(M[p][q]) for p in range(n) for q in range(p + 1, n)), default=0) <= tol:
+            break
+        for p in range(n):
+            for q in range(p + 1, n):
+                if M[p][q] == 0:
+                    continue
+                tau = (M[q][q] - M[p][p]) / (2 * M[p][q])
+                t = 1 / (abs(tau) + (1 + tau * tau).sqrt())
+                t = t if tau >= 0 else -t
+                c = 1 / (1 + t * t).sqrt()
+                s = t * c
+                for k in range(n):
+                    M[k][p], M[k][q] = c * M[k][p] - s * M[k][q], s * M[k][p] + c * M[k][q]
+                for k in range(n):
+                    M[p][k], M[q][k] = c * M[p][k] - s * M[q][k], s * M[p][k] + c * M[q][k]
+                M[p][q] = M[q][p] = decimal.Decimal(0)
+    return sorted((M[i][i] for i in range(n)), reverse=True)
+
+
+def _dec_generalized_eigvals(A, B):
+    """Eigenvalues of A^-1 B, descending, as those of C = L^-1 B L^-T with L
+    the Cholesky factor of A, everything in Decimals.  B's off-diagonal
+    entries are the means of its two triangles."""
+    n = len(A)
+    a = _dec_matrix(A)
+    b = [[(decimal.Decimal(float(B[i][j])) + decimal.Decimal(float(B[j][i]))) / 2
+          for j in range(n)] for i in range(n)]
+    L = [[decimal.Decimal(0)] * n for _ in range(n)]
+    for j in range(n):
+        L[j][j] = (a[j][j] - sum(L[j][k] * L[j][k] for k in range(j))).sqrt()
+        for i in range(j + 1, n):
+            L[i][j] = (a[i][j] - sum(L[i][k] * L[j][k] for k in range(j))) / L[j][j]
+
+    def forward(rhs):  # L^-1 rhs, column by column
+        out = [[decimal.Decimal(0)] * n for _ in range(n)]
+        for col in range(n):
+            for i in range(n):
+                out[i][col] = (rhs[i][col] - sum(L[i][k] * out[k][col] for k in range(i))) / L[i][i]
+        return out
+
+    Y = forward(b)
+    C = forward([[Y[j][i] for j in range(n)] for i in range(n)])  # L^-1 (L^-1 B)^T
+    return _dec_jacobi_eigvals(C)
+
+
+def oracle_eigvals_sym(M):
+    """Eigenvalues, descending, of a symmetric matrix at 50 digits, rounded once."""
+    with decimal.localcontext(_DIGITS50):
+        return [float(x) for x in _dec_jacobi_eigvals(_dec_matrix(M))]
+
+
+def oracle_generalized_eigvals(A, B):
+    """Eigenvalues, descending, of A^-1 B for SPD A at 50 digits, rounded once."""
+    with decimal.localcontext(_DIGITS50):
+        return [float(x) for x in _dec_generalized_eigvals(A, B)]
+
+
+def oracle_airm_sq(A, B):
+    """Squared AIRM distance between SPD matrices of any size at 50 digits."""
+    with decimal.localcontext(_DIGITS50):
+        return float(sum(mu.ln() ** 2 for mu in _dec_generalized_eigvals(A, B)))
 
 
 def oracle_r_statistics(per_group, pooled, labels, kind):

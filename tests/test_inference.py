@@ -330,6 +330,30 @@ class TestRStatistic:
             "R_Euc", ms, B=19, seed=1
         )
 
+    @pytest.mark.parametrize(
+        "names", [("R_Euc", "R_AIRM", "R_LERM"), ("R_AIRM",), ("R_AIRM", "R_LERM")]
+    )
+    def test_three_spaces_equal_run_tests_statistic_bit_for_bit(self, names):
+        # three spaces take the Cholesky-inverse AIRM kernel on 3x3 matrices;
+        # with R_LERM requested, AIRM's floor test on A is the log kernel's
+        # mask, and with R_AIRM alone, as in r_statistic, its own eigvalsh
+        rng = np.random.default_rng(88)
+        pts = rng.normal(size=(36, 3))
+        ms = GroupedMultiSample(
+            [
+                distance_matrix_space("D", np.abs(pts[:, None] - pts[None]).sum(axis=2)),
+                euclidean_space("e", rng.normal(size=(36, 2))),
+                euclidean_space("x", rng.normal(size=(36, 1))),
+            ],
+            np.repeat([1, 2, 3], 12),
+        )
+        m = moment_set(ms)
+        for ridge in (False, True):
+            for report in run_tests(list(names), ms, B=19, seed=2, ridge=ridge):
+                kind = report.test_name[2:]
+                for target, component in zip(R_TARGETS, report.components):
+                    assert r_statistic(kind, target, m, ridge=ridge) == component.statistic
+
 
 class TestPillai:
     def test_adapted_equal_matrices(self):

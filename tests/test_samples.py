@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from metricmanova import engine
+from metricmanova import engine, samples
 from metricmanova.engine import StatEngine
 from metricmanova.errors import DataError
 from metricmanova.estimators import moment_set
@@ -150,6 +150,62 @@ class TestFrechetMean:
         res = frechet_mean(space)
         assert res.solver == "exact"
         assert res.mean == pytest.approx(3.0)
+
+
+class TestOverflowingSquares:
+    """A valid distance matrix whose squares pass the largest float: the
+    medoid rule clips them on purpose, so no RuntimeWarning is raised."""
+
+    @staticmethod
+    def _space():
+        rng = np.random.default_rng(19)
+        upper = np.triu(rng.integers(1, 4, size=(8, 8)).astype(float), 1)
+        dist = upper + upper.T
+        dist[6, :] *= 1e200
+        dist[:, 6] *= 1e200
+        return distance_matrix_space("D", dist)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_frechet_mean(self):
+        sp = self._space()
+        res = frechet_mean(sp)
+        assert res.index == oracle_medoid_in_order(_clipped_squares(sp.pairwise()), np.arange(8))
+        assert res.index != 6
+        assert res.objective == np.inf  # past the largest float
+        assert frechet_variance(sp, res) == np.inf
+        assert frechet_mean(sp, [0, 1, 2]).objective < np.inf
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_stat_engine(self):
+        sp = self._space()
+        ms = GroupedMultiSample(
+            [sp, euclidean_space("E", np.random.default_rng(20).normal(size=(8, 2)))],
+            np.arange(8) % 2,
+        )
+        eng = StatEngine(ms)
+        squares = _clipped_squares(sp.pairwise())
+        pooled = oracle_medoid_in_order(squares, np.arange(8))
+        assert np.array_equal(eng.pooled_profile[:, 0], sp.pairwise()[:, pooled])
+        assert eng.pooled_cov[0, 0] == np.inf
+        codes = np.stack([permuted_labels(ms.codes, 3, b) for b in range(5)])
+        prof = eng.group_profiles(codes)
+        for l in range(5):
+            for j in range(2):
+                idx = np.flatnonzero(codes[l] == j)
+                medoid = oracle_medoid_in_order(squares, idx)
+                assert np.array_equal(prof[l, idx, 0], sp.pairwise()[idx, medoid])
+
+    def test_engine_squares_each_distance_matrix_once(self, monkeypatch):
+        calls = []
+
+        def counting(dist):
+            calls.append(dist.shape)
+            return _clipped_squares(dist)
+
+        monkeypatch.setattr(engine, "_clipped_squares", counting)
+        monkeypatch.setattr(samples, "_clipped_squares", counting)
+        StatEngine(GroupedMultiSample([self._space(), self._space()], np.arange(8) % 2))
+        assert calls == [(8, 8), (8, 8)]
 
 
 class TestFrechetVariance:
@@ -305,8 +361,7 @@ class TestMedoidSums:
         dist = (upper + upper.T)[np.ix_(point, point)]
         dist[5, :] *= far
         dist[:, 5] *= far
-        with np.errstate(over="ignore"):
-            return _clipped_squares(dist)
+        return _clipped_squares(dist)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("far", [1.0, 1.0e200])
@@ -383,10 +438,11 @@ class TestGroupProfileKernel:
     def _stack(self, ms):
         return np.stack([permuted_labels(ms.codes, 5, b) for b in range(self.L)])
 
-    @pytest.mark.filterwarnings("ignore:overflow")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("far", [1.0, 1.0e200])
     def test_medoid_profiles_match_oracle_with_ties(self, far):
-        # at far=1e200 the squared distances to observation 5 overflow to inf
+        # at far=1e200 the squared distances to observation 5 overflow to inf;
+        # the engine and frechet_mean clip them without a warning
         ms = self._multisample(far)
         codes = self._stack(ms)
         prof = StatEngine(ms).group_profiles(codes)
@@ -395,9 +451,10 @@ class TestGroupProfileKernel:
         for l in range(self.L):
             for j in range(3):
                 idx = np.flatnonzero(codes[l] == j)
-                objectives = (dist[np.ix_(idx, idx)] ** 2).sum(axis=1)
+                with np.errstate(over="ignore"):  # the oracle's own squares
+                    objectives = (dist[np.ix_(idx, idx)] ** 2).sum(axis=1)
+                    medoid = oracle_medoid(dist, idx)
                 ties += int(np.sum(objectives == objectives.min()) > 1)
-                medoid = oracle_medoid(dist, idx)
                 assert np.array_equal(prof[l, idx, 0], dist[idx, medoid])
                 assert frechet_mean(ms.spaces[0], idx).index == medoid
         assert ties > 0

@@ -10,7 +10,6 @@ from metricmanova.errors import DataError, SingularMatrixError
 from metricmanova.spd import (
     SPD_FLOOR_REL,
     SpdMatrix,
-    _airm_sq_lapack,
     _matrix_log_lapack,
     matrix_exp_sym,
     matrix_log,
@@ -22,11 +21,15 @@ from metricmanova.spd import (
 )
 
 from oracles import (
+    oracle_airm_sq,
     oracle_airm_sq_2x2,
     oracle_eigvals_2x2,
+    oracle_eigvals_sym,
+    oracle_generalized_eigvals,
     oracle_generalized_eigvals_2x2,
     oracle_matrix_log_2x2,
     oracle_spd_distance,
+    solve_airm_sq,
 )
 
 
@@ -278,7 +281,7 @@ def airm_cell_errors(A, B):
     """(closed-form worst error, LAPACK worst error, items compared, items
     whose masks differ away from the floor) of stack_airm_sq on one cell."""
     sq_c, ok_c = stack_airm_sq(A, B)
-    sq_l, ok_l = _airm_sq_lapack(A, B)
+    sq_l, ok_l = solve_airm_sq(A, B)
     worst_c = worst_l = 0.0
     compared = mask_diffs = 0
     for i in range(len(A)):
@@ -377,3 +380,151 @@ class TestClosedForms2x2:
         for values in (logs, sq_ab, sq_ba, sq_bb):
             assert np.isfinite(values).all()
         assert ok_log.tolist() == _matrix_log_lapack(bad)[1].tolist()
+
+
+# -- the 3x3 kernel against a 50-digit oracle ---------------------------------
+#
+# Three or more spaces take LAPACK's Cholesky factor of A, inverted by forward
+# substitution.  The same grid as above, with A's middle eigenvalue drawn
+# log-uniformly between its extremes, gates it against the solve-based LAPACK
+# kernel it replaced (``oracles.solve_airm_sq``).  The reference eigenvalues
+# come from 50-digit Jacobi rotations (``oracles.oracle_airm_sq``).
+
+
+def rotated3(rng, eig):
+    """(n, 3, 3) exactly symmetric matrices with eigenvalues ``eig`` (n, 3)
+    and random orthonormal eigenvectors."""
+    Q = np.linalg.qr(rng.normal(size=(len(eig), 3, 3)))[0]
+    M = (Q * eig[:, None, :]) @ np.swapaxes(Q, -1, -2)
+    return 0.5 * (M + np.swapaxes(M, -1, -2))
+
+
+def grid_cell3(kappa, b_kind, n=GRID_ITEMS):
+    """(A, B) 3x3 stacks of one grid cell, seeded by the cell, as ``grid_cell``."""
+    rng = np.random.default_rng([3, KAPPAS.index(kappa), B_KINDS.index(b_kind)])
+    scale = np.exp(rng.choice([-1.0, 1.0], n) * rng.uniform(1.0, 4.0, n))
+    if kappa == "floor":
+        kappa = np.exp(rng.uniform(-0.05, 0.05, n)) / SPD_FLOOR_REL
+    inv = 1.0 / np.broadcast_to(kappa, n)
+    eig = np.stack([np.ones(n), inv ** rng.uniform(0.0, 1.0, n), inv], -1)
+    A = rotated3(rng, scale[:, None] * eig)
+    if b_kind == "random":
+        B = rotated3(rng, np.exp(rng.uniform(-5.0, 5.0, (n, 3))))
+    else:
+        B = A + b_kind * rotated3(rng, scale[:, None] * rng.uniform(0.0, 1.0, (n, 3)))
+    return A, B
+
+
+def _near_floor(eigvals, margin):
+    """Whether the oracle eigenvalues lie within ``margin`` of the floor test."""
+    return _floor_distance(eigvals[0], eigvals[-1]) <= margin
+
+
+def airm3_cell_errors(A, B):
+    """(Cholesky-inverse worst error, solve-based worst error, items compared,
+    items whose masks differ away from the floor) of stack_airm_sq."""
+    sq_c, ok_c = stack_airm_sq(A, B)
+    sq_l, ok_l = solve_airm_sq(A, B)
+    worst_c = worst_l = 0.0
+    compared = mask_diffs = 0
+    for i in range(len(A)):
+        la = oracle_eigvals_sym(A[i])
+        near = _near_floor(la, _FLOOR_MARGIN * _EPS)
+        if la[-1] > 0.0:
+            mu = oracle_generalized_eigvals(A[i], B[i])
+            near |= _near_floor(mu, _FLOOR_MARGIN * _EPS * la[0] / la[-1])
+        if ok_c[i] != ok_l[i] and not near:
+            mask_diffs += 1
+        if ok_c[i] and ok_l[i]:
+            want = oracle_airm_sq(A[i], B[i])
+            worst_c = max(worst_c, abs(sq_c[i] - want) / want)
+            worst_l = max(worst_l, abs(sq_l[i] - want) / want)
+            compared += 1
+    return worst_c, worst_l, compared, mask_diffs
+
+
+def floor_items(rng, ratios, n):
+    """(len(ratios) * n, 3, 3) matrices of random scale and eigenvectors whose
+    smallest eigenvalue is ``ratio`` times the largest."""
+    ratio = np.repeat(ratios, n)
+    scale = np.exp(rng.uniform(-4.0, 4.0, ratio.size))
+    eig = np.stack([np.ones(ratio.size), ratio ** rng.uniform(0.0, 1.0, ratio.size), ratio], -1)
+    return rotated3(rng, scale[:, None] * eig)
+
+
+# smallest over largest eigenvalue: below, at and above the strict-PD floor
+FLOOR_RATIOS = SPD_FLOOR_REL * np.array([0.95, 1.0, 1.05])
+
+
+class TestCholeskyInverse3x3:
+    @pytest.mark.parametrize("b_kind", B_KINDS)
+    @pytest.mark.parametrize("kappa", KAPPAS)
+    def test_airm_within_solve_error(self, kappa, b_kind):
+        worst_c, worst_l, compared, mask_diffs = airm3_cell_errors(*grid_cell3(kappa, b_kind))
+        assert compared > 0
+        assert mask_diffs == 0
+        assert worst_c <= 4.0 * worst_l + 1e-14
+
+    def test_shared_floor_test_changes_no_value(self):
+        # the log kernel's mask as A's floor test gives the bits of the
+        # kernel's own eigvalsh test, item for item
+        A, B = grid_cell3(1e6, "random")
+        A[::5] = floor_items(np.random.default_rng(6), FLOOR_RATIOS, 5)[: len(A[::5])]
+        sq, ok = stack_airm_sq(A, B)
+        sq_shared, ok_shared = stack_airm_sq(A, B, a_ok=stack_matrix_log(A)[1])
+        assert ok.any() and not ok.all()
+        both = ok & ok_shared
+        assert np.array_equal(sq[both], sq_shared[both])
+
+    def _check_masks(self, masks, eigvals, margin):
+        """Each mask agrees with the floor test on the oracle eigenvalues,
+        except within ``margin`` of the floor; returns the items checked."""
+        checked = 0
+        for i, lam in enumerate(eigvals):
+            if _near_floor(lam, margin):
+                continue
+            want = lam[-1] > SPD_FLOOR_REL * max(lam[0], 0.0)
+            for mask in masks:
+                assert mask[i] == want, (i, lam)
+            checked += 1
+        return checked
+
+    @staticmethod
+    def _congruent(A, G):
+        """L G L^T, L the Cholesky factor of A: A^-1 B has G's eigenvalues."""
+        chol = np.linalg.cholesky(A)
+        B = chol @ G @ np.swapaxes(chol, -1, -2)
+        return 0.5 * (B + np.swapaxes(B, -1, -2))
+
+    def test_a_side_masks_follow_the_floor(self):
+        # A^-1 B keeps a condition of at most 10, so A decides every mask
+        rng = np.random.default_rng(7)
+        A = floor_items(rng, FLOOR_RATIOS, 12)
+        B = self._congruent(A, rotated3(rng, np.exp(rng.uniform(-1.15, 1.15, (len(A), 3)))))
+        logs, ok_log = stack_matrix_log(A)
+        sq, ok_own = stack_airm_sq(A, B)
+        sq_shared, ok_shared = stack_airm_sq(A, B, a_ok=ok_log)
+        eigvals = [oracle_eigvals_sym(a) for a in A]
+        checked = self._check_masks((ok_log, ok_own, ok_shared), eigvals, _FLOOR_MARGIN * _EPS)
+        assert checked >= 24  # every item below and above the floor
+        for values in (logs, sq, sq_shared):
+            assert np.isfinite(values).all()
+
+    def test_b_side_masks_follow_the_floor(self):
+        # G's eigenvalues, those of A^-1 B, lie around the floor, and A's
+        # condition is at most 10
+        rng = np.random.default_rng(8)
+        G = floor_items(rng, FLOOR_RATIOS, 12)
+        A = rotated3(rng, np.exp(rng.uniform(-1.15, 1.15, (len(G), 3))))
+        B = self._congruent(A, G)
+        sq, ok_own = stack_airm_sq(A, B)
+        sq_shared, ok_shared = stack_airm_sq(A, B, a_ok=stack_matrix_log(A)[1])
+        margin = _FLOOR_MARGIN * _EPS * 10.0
+        eigvals = [oracle_generalized_eigvals(a, b) for a, b in zip(A, B)]
+        checked = self._check_masks((ok_own, ok_shared), eigvals, margin)
+        assert checked >= 24
+        # LERM's mask is each matrix's own floor test
+        ok_log = stack_matrix_log(B)[1]
+        checked = self._check_masks((ok_log,), [oracle_eigvals_sym(b) for b in B], _FLOOR_MARGIN * _EPS)
+        assert checked >= 24
+        assert np.isfinite(sq).all() and np.isfinite(sq_shared).all()
