@@ -123,7 +123,8 @@ def _emit(text: str, out: Optional[str]) -> None:
 
 
 def _json_payload(config: dict, key: str, rows) -> str:
-    return json.dumps({"config": config, key: rows}, indent=2, sort_keys=True)
+    # NaN is not JSON: a non-finite value raises rather than writing it
+    return json.dumps({"config": config, key: rows}, indent=2, sort_keys=True, allow_nan=False)
 
 
 def _csv_text(config: dict, header: List[str], rows: List[List[str]]) -> str:

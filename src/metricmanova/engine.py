@@ -179,6 +179,8 @@ class StatEngine:
 
     # -- moments ----------------------------------------------------------------
 
+    # overflowed products make inf and NaN moments, which fail the statistics' checks
+    @np.errstate(over="ignore", invalid="ignore")
     def moments(self, codes: np.ndarray) -> MomentStack:
         """Every ``MomentStack`` field of an (L, n) stack of group labelings."""
         codes = np.asarray(codes, dtype=np.int64)

@@ -31,20 +31,23 @@ with one set of label shuffles shared by all components of a test.  Replicate
 ``b``'s shuffle is drawn from an independent stream derived from ``(seed, b)``,
 so p-values depend only on the data, the seed, and B.  Degenerate replicates
 (NaN, inf, or an invalid matrix) are dropped from the count; more than 20% of
-them raises :class:`UnstableStatisticError`.  A non-finite or invalid observed
-statistic raises :class:`DegenerateDataError` (:class:`SingularMatrixError`
-for an R component), since no count can make it significant.
+them raises :class:`UnstableStatisticError`.  In all seven tests a non-finite
+or invalid observed statistic raises :class:`DegenerateDataError`
+(:class:`SingularMatrixError` for an R component), since no count or
+approximation can judge it; a Pillai trace at its bound min(S, J - 1) is
+invalid.  The statistic kernels compute under an ``np.errstate`` that silences
+the inf and NaN their validity masks catch, so the error comes unwarned.
 
 Each statistic has one implementation, on a stack of L labelings
-(``_r_stack``, ``_fa_stack``, ``_pillai_stack``), and ``_perm_p`` is the one
-p-value count.  ``run_tests`` makes one sweep over B + 1 labelings: row 0 is
-the observed labeling and row b + 1 is permutation replicate b.  It walks the
-rows in blocks of ``_CHUNK_BUDGET // n`` labelings, drawing each block's
-shuffles with one batched ``permuted_labels`` call, and writes each
-component's values into one (B + 1,) array, so memory grows with B by a few
-bytes per component and replicate.  The observed checks run on row 0 of the
-first block; every permutation-calibrated component then takes the same
-``_perm_p`` path.
+(``_r_stack``, ``_fa_stack``, ``_pillai_stack``, ``_pillai_d_stack``), and
+``_perm_p`` is the one p-value count.  ``run_tests`` makes one sweep over
+B + 1 labelings: row 0 is the observed labeling and row b + 1 is permutation
+replicate b.  It walks the rows in blocks of ``_CHUNK_BUDGET // n``
+labelings, drawing each block's shuffles with one batched ``permuted_labels``
+call, and writes each component's values into one (B + 1,) array, so memory
+grows with B by a few bytes per component and replicate.  The observed checks
+run on row 0 of the first block; every permutation-calibrated component then
+takes the same ``_perm_p`` path.
 
 Monte Carlo loops read only the reject flags, so ``estimate_rejection_rates``
 hands ``run_tests`` a private ``_Futility`` block schedule.  The sweep then
@@ -63,10 +66,11 @@ would pass 20% degenerate, is kept where the full sweep raises
 :class:`UnstableStatisticError`.  Without the schedule, as in the ``test``
 command, the sweep is the one full sweep above.
 
-``r_statistic`` and ``pillai_adapted`` are L=1 views that
-equal the observed statistics of ``run_tests`` bit for bit.  ``ridge=True`` adds
-1e-10 * trace/dim to the diagonal of the AIRM and LERM inputs only; Euc is
-defined on every symmetric matrix and is never ridged.
+``r_statistic`` and ``pillai_adapted`` are L=1 views that equal the observed
+statistics of ``run_tests`` bit for bit, and ``pillai_distance`` reads the
+report of ``run_test``.  ``ridge=True`` adds 1e-10 * trace/dim to the
+diagonal of the AIRM and LERM inputs only; Euc is defined on every symmetric
+matrix and is never ridged.
 """
 
 from __future__ import annotations
@@ -135,6 +139,7 @@ def _fa_threshold(df: int, level: float) -> float:
 # -- stacked statistic evaluation (shared by observed and permuted paths) ----
 
 
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def _fa_stack(
     mom: MomentStack, pooled_cov: np.ndarray, n: int
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -151,7 +156,11 @@ def _fa_stack(
         for jp in range(j + 1, J):
             w = (g[:, j] * g[:, jp])[:, None, None]
             diff = cov[:, j] - cov[:, jp]
-            U += w * diff * diff / (Vs[:, j] * Vs[:, jp])
+            # an overflowed or subnormal product would read U's term as 0 or
+            # inexact, so only a finite normal one keeps the cell valid
+            den = Vs[:, j] * Vs[:, jp]
+            valid &= (den >= np.finfo(float).tiny) & (den < np.inf)
+            U += w * diff * diff / den
     den_u = np.einsum("lj,ljst->lst", g, 1.0 / Vs)
     den_f = np.einsum("lj,ljst->lst", g * g, Vs)
     T = n * U / den_u + n * F * F / den_f
@@ -160,6 +169,7 @@ def _fa_stack(
     return F, U, T, valid
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _r_stack(
     mom: MomentStack,
     pooled_cov: np.ndarray,
@@ -244,50 +254,36 @@ def _pooled_inverse(pooled_cov: np.ndarray) -> np.ndarray:
     return np.linalg.inv(pooled_cov)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _pillai_stack(weighted_cov: np.ndarray, pooled_inv: np.ndarray) -> np.ndarray:
     """S - tr(Sigma_g Sigma_p^-1) for an (L, S, S) stack of weighted covariances."""
     S = pooled_inv.shape[0]
     return S - np.einsum("lst,ts->l", weighted_cov, pooled_inv)
 
 
-def _pillai_trace(
-    counts: np.ndarray, col_mean: np.ndarray, centered_cov: np.ndarray, n: int
-) -> float:
-    """Classical one-way Pillai trace from group column means and scatters."""
-    grand = counts @ col_mean / n
-    dm = col_mean - grand[None, :]
-    H = np.einsum("j,js,jt->st", counts, dm, dm)
-    E = np.einsum("j,jst->st", counts, centered_cov)
+@np.errstate(over="ignore", invalid="ignore")
+def _pillai_d_stack(mom: MomentStack, n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Classical one-way Pillai trace tr((H + E)^-1 H) of each labeling's group
+    column means and scatters, and its validity: below its bound min(S, J - 1).
+    A row whose H + E is exactly singular reads NaN."""
+    counts, col_mean = mom.counts, mom.col_mean
+    _, J, S = col_mean.shape
+    grand = (counts[:, None, :] @ col_mean)[:, 0] / n
+    dm = col_mean - grand[:, None, :]
+    H = np.einsum("lj,ljs,ljt->lst", counts, dm, dm)
+    total = H + np.einsum("lj,ljst->lst", counts, mom.centered_cov)
     try:
-        V = float(np.trace(np.linalg.solve(H + E, H)))
-    except np.linalg.LinAlgError as exc:
-        raise DegenerateDataError(f"singular total scatter matrix: {exc}") from exc
-    return V
-
-
-def _check_pillai_d_size(n: int, J: int, S: int) -> None:
-    """Pillai_d's F approximation needs n - J - S >= 1 error degrees of freedom."""
-    if n - J - S < 1:
-        raise ValueError(f"need n - J - S >= 1 (n={n}, J={J}, S={S})")
-
-
-def _pillai_d(mom: MomentStack, S: int, J: int, n: int) -> Tuple[float, float]:
-    """Pillai trace of row 0's distance profile and its F-approximation p-value."""
-    V = _pillai_trace(mom.counts[0], mom.col_mean[0], mom.centered_cov[0], n)
-    p, q = S, J - 1
-    s = min(p, q)
-    m = (abs(p - q) - 1) / 2.0
-    r = (n - J - p - 1) / 2.0
-    slack = s - V
-    if slack <= 0.0:
-        raise DegenerateDataError(
-            f"Pillai trace {V} reached its bound {s}; F approximation undefined"
-        )
-    F = (2.0 * r + s + 1.0) * V / ((2.0 * m + s + 1.0) * slack)
-    df1 = int(round(s * (2 * m + s + 1)))
-    df2 = int(round(s * (2 * r + s + 1)))
-    # the floor keeps reported p-values strictly positive under underflow
-    return V, max(f_sf(F, df1, df2), 5e-324)
+        X = np.linalg.solve(total, H)
+    except np.linalg.LinAlgError:
+        # one row at a time gives the batched solve's bits on every other row
+        X = np.full_like(H, np.nan)
+        for l in range(len(H)):
+            try:
+                X[l] = np.linalg.solve(total[l], H[l])
+            except np.linalg.LinAlgError:
+                pass
+    V = np.einsum("lss->l", X)
+    return V, V < min(S, J - 1)
 
 
 # -- public statistic operations ----------------------------------------------
@@ -367,13 +363,9 @@ def pillai_adapted(moments: MomentSet) -> float:
 
 def pillai_distance(ms: GroupedMultiSample) -> Tuple[float, float]:
     """Classical Pillai trace on the per-group distance profile, with the
-    standard F-approximation p-value."""
-    if ms.n_groups < 2:
-        raise ValueError("at least two groups are required")
-    _check_pillai_d_size(ms.n, ms.n_groups, ms.n_spaces)
-    engine = StatEngine(ms)
-    mom = engine.moments(ms.codes[None, :])
-    return _pillai_d(mom, ms.n_spaces, ms.n_groups, ms.n)
+    standard F-approximation p-value: the one component of ``Pillai_d``."""
+    component = run_test("Pillai_d", ms).components[0]
+    return component.statistic, component.p_value
 
 
 def permutation_pvalue(
@@ -458,6 +450,7 @@ def _component_table(
     r_kinds: Sequence[str],
     fa_cells: Dict[str, Tuple[int, int]],
     pooled_inv: Optional[np.ndarray],
+    pillai_d: bool,
     ridge: bool,
 ) -> Dict[str, Tuple[np.ndarray, np.ndarray]]:
     """(values, validity) per component name over the labeling stack."""
@@ -473,6 +466,8 @@ def _component_table(
     if pooled_inv is not None:
         values = _pillai_stack(mom.weighted_cov, pooled_inv)
         table["pillai"] = (values, np.isfinite(values))
+    if pillai_d:
+        table["pillai_d"] = _pillai_d_stack(mom, n)
     return table
 
 
@@ -588,8 +583,8 @@ def run_tests(
         raise ValueError(f"need at least one permutation, got B={B}")
 
     S, J, n = ms.n_spaces, ms.n_groups, ms.n
-    if "Pillai_d" in names:
-        _check_pillai_d_size(n, J, S)
+    if "Pillai_d" in names and n - J - S < 1:  # the F approximation's error df
+        raise ValueError(f"need n - J - S >= 1 (n={n}, J={J}, S={S})")
     engine = StatEngine(ms)
     r_kinds = tuple(k for k in SPD_KINDS if f"R_{k}" in names)
     fa_cells = _fa_components(S) if "T_FA" in names or "T_FA_perm" in names else {}
@@ -620,7 +615,8 @@ def run_tests(
         permuted_labels(ms.codes, seed, range(first - 1, stop - 1), out=codes[first - start:])
         mom = engine.moments(codes)
         cells = _component_table(
-            mom, engine.pooled_cov, n, r_kinds, fa_cells, pooled_inv, ridge
+            mom, engine.pooled_cov, n, r_kinds, fa_cells, pooled_inv,
+            "Pillai_d" in names, ridge,
         )
         if start == 0:
             # observed statistics, with strict degeneracy errors
@@ -632,10 +628,8 @@ def run_tests(
                             "matrix; consider ridge repair"
                         )
                     raise DegenerateDataError(
-                        f"component {comp_name}: observed statistic {values[0]!r}"
+                        f"component {comp_name}: observed statistic {float(values[0])!r}"
                     )
-            if "Pillai_d" in names:
-                pillai_d = _pillai_d(mom, S, J, n)
             table = {c: (np.empty(rows), np.empty(rows, dtype=bool)) for c in cells}
         for comp_name, (values, valid) in cells.items():
             table[comp_name][0][start:stop] = values
@@ -656,23 +650,25 @@ def run_tests(
         components = []
         used = []  # valid replicates per permutation-calibrated component
         for comp_name in comp_names:
-            if name == "Pillai_d":
-                statistic, p = pillai_d
+            values, valid = table[comp_name]
+            statistic = float(values[0])
+            if name == "T_FA":
+                p = max(chi2_sf(statistic, J - 1), 5e-324)
+                reject = statistic > threshold
+            elif name == "Pillai_d":
+                # the F approximation of a Pillai trace below its bound s (Pillai 1955)
+                s = min(S, J - 1)
+                m = (abs(S - J + 1) - 1) / 2.0
+                r = (n - J - S - 1) / 2.0
+                F = (2.0 * r + s + 1.0) * statistic / ((2.0 * m + s + 1.0) * (s - statistic))
+                p = max(f_sf(F, round(s * (2 * m + s + 1)), round(s * (2 * r + s + 1))), 5e-324)
                 reject = p <= level
             else:
-                values, valid = table[comp_name]
-                statistic = float(values[0])
-                if name == "T_FA":
-                    p = max(chi2_sf(statistic, J - 1), 5e-324)
-                    reject = statistic > threshold
-                else:
-                    p, n_valid = _perm_p(
-                        statistic, values[1:stop], valid[1:stop], comp_name
-                    )
-                    used.append(n_valid)
-                    reject = p <= level
-                    if stopped:
-                        p = None  # futile; a prefix p-value is not the test's
+                p, n_valid = _perm_p(statistic, values[1:stop], valid[1:stop], comp_name)
+                used.append(n_valid)
+                reject = p <= level
+                if stopped:
+                    p = None  # futile; a prefix p-value is not the test's
             components.append(
                 ComponentResult(
                     name=comp_name,

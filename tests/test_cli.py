@@ -9,11 +9,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from metricmanova.cli import demo_correlation_table, main
+from metricmanova.cli import _json_payload, demo_correlation_table, main
 from metricmanova.dataset import loads_msd, save_msd
 from metricmanova.errors import DataError
 from metricmanova.samples import GroupedMultiSample
-from metricmanova.spaces import euclidean_space
+from metricmanova.spaces import distance_matrix_space, euclidean_space
 
 
 def run_cli(args):
@@ -171,6 +171,30 @@ class TestExitCodes:
         assert run_cli([
             "test", "--input", str(bad), "--tests", "T_FA", "--seed", "1",
         ]) == 3
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_non_finite_observed_statistic_writes_no_file(self, tmp_path, capsys):
+        # observation 0's distances near 1e200 overflow the profile moments;
+        # Pillai_d used to exit 0 and write "p_value": NaN, which is not JSON
+        rng = np.random.default_rng(5)
+        pts = rng.normal(size=(12, 2))
+        dist = np.linalg.norm(pts[:, None] - pts[None], axis=2)
+        dist[0] *= 1e200
+        dist[:, 0] *= 1e200
+        spaces = [distance_matrix_space("D", dist), euclidean_space("E", rng.normal(size=(12, 1)))]
+        data = tmp_path / "far.msd"
+        save_msd(data, GroupedMultiSample(spaces, [1] * 6 + [2] * 6))
+        out = tmp_path / "out.json"
+        assert run_cli([
+            "test", "--input", str(data), "--tests", "Pillai_d", "--seed", "1",
+            "--out", str(out),
+        ]) == 3
+        assert "observed statistic nan" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_json_output_refuses_nan(self):
+        with pytest.raises(ValueError):
+            _json_payload({"command": "test"}, "reports", [{"p_value": float("nan")}])
 
     def test_truncated_distance_block(self, tmp_path):
         # the header promises 60000 observations but one distance row follows;

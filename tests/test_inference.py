@@ -2,6 +2,7 @@
 
 import dataclasses
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from metricmanova.estimators import MomentSet, moment_set
 from metricmanova.inference import (
     R_TARGETS,
     TEST_NAMES,
-    _pillai_trace,
+    _pillai_d_stack,
     anova_stats_covariance,
     anova_stats_variance,
     permutation_pvalue,
@@ -448,12 +449,15 @@ class TestPillai:
         labels = np.array([0] * 8 + [1] * 8)
 
         def trace_of(profile):
-            counts = np.array([8.0, 8.0])
-            col_mean = np.stack([profile[labels == j].mean(axis=0) for j in range(2)])
-            centered = np.stack(
-                [np.cov(profile[labels == j].T, bias=True) for j in range(2)]
+            # a one-row stack holds the group column means and scatters
+            mom = SimpleNamespace(
+                counts=np.array([[8.0, 8.0]]),
+                col_mean=np.stack([profile[labels == j].mean(axis=0) for j in range(2)])[None],
+                centered_cov=np.stack(
+                    [np.cov(profile[labels == j].T, bias=True) for j in range(2)]
+                )[None],
             )
-            return _pillai_trace(counts, col_mean, centered, 16)
+            return _pillai_d_stack(mom, 16)[0][0]
 
         v1 = trace_of(prof)
         transformed = prof.copy()
@@ -1049,3 +1053,76 @@ class TestRunTest:
         monkeypatch.setattr(inference, "_pillai_stack", make_degenerate(3))
         with pytest.raises(UnstableStatisticError):
             run_test("Pillai", ms, B=B, seed=7)
+
+
+def far_point_ms(row0_scale=1.0, scale=1.0) -> GroupedMultiSample:
+    """12 points in two groups of 6: a distance-matrix space, with every entry
+    scaled by ``scale`` and observation 0's row and column by ``row0_scale``,
+    and a 1-D Euclidean space."""
+    rng = np.random.default_rng(5)
+    pts = rng.normal(size=(12, 2))
+    dist = np.linalg.norm(pts[:, None] - pts[None], axis=2) * scale
+    dist[0] *= row0_scale
+    dist[:, 0] *= row0_scale
+    spaces = [distance_matrix_space("D", dist), euclidean_space("E", rng.normal(size=(12, 1)))]
+    return GroupedMultiSample(spaces, [0] * 6 + [1] * 6)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestNonFiniteObservedStatistics:
+    """One rule for all seven tests: a non-finite or invalid observed statistic
+    raises the documented error, before numpy can warn about the arithmetic."""
+
+    @pytest.mark.parametrize("name", TEST_NAMES)
+    def test_overflowed_profile_raises_in_every_test(self, name):
+        # at 1e200 the profile's pair products overflow; Pillai_d used to
+        # report statistic = p_value = NaN with reject=False
+        error = SingularMatrixError if name.startswith("R_") else DegenerateDataError
+        with pytest.raises(error) as info:
+            run_test(name, far_point_ms(row0_scale=1e200), B=19, seed=1)
+        if name == "Pillai_d":
+            assert str(info.value) == "component pillai_d: observed statistic nan"
+
+    @pytest.mark.parametrize(
+        "helper",
+        [
+            lambda ms: anova_stats_variance(ms, 0),
+            lambda ms: anova_stats_covariance(ms, 0, 1),
+            moment_set,
+            pillai_distance,
+        ],
+    )
+    def test_overflowed_profile_raises_in_scalar_helpers(self, helper):
+        with pytest.raises(DegenerateDataError):
+            helper(far_point_ms(row0_scale=1e200))
+
+    @pytest.mark.parametrize("scale", [1e39, 1e-40])
+    def test_t_fa_variance_product_out_of_range_raises(self, scale):
+        # at 1e39 the product of two moment variances overflowed and T_1 read
+        # 0.1953 (p 0.659) instead of 0.7804 (p 0.377); at 1e-40 it was
+        # subnormal and T_1 read 0.78039 with no error
+        ms = far_point_ms(scale=scale)
+        with pytest.raises(DegenerateDataError, match="^component T_1: "):
+            run_test("T_FA", ms, B=19, seed=1)
+        with pytest.raises(DegenerateDataError, match="^component T_1: "):
+            anova_stats_variance(ms, 0)
+        assert anova_stats_variance(ms, 1) == anova_stats_variance(far_point_ms(), 1)
+
+    def test_singular_permuted_rows_read_nan_and_keep_the_sweep(self):
+        # labelings that split the zeros from the ones leave H + E = 0
+        ms = GroupedMultiSample(
+            [euclidean_space("e", np.array([0.0, 0, 0, 0, 1, 1, 1, 1])[:, None])],
+            [0, 0, 0, 1, 1, 1, 1, 0],
+        )
+        pillai_d, pillai = run_tests(["Pillai_d", "Pillai"], ms, B=99, seed=1)
+        assert (pillai_d.components[0].statistic, pillai_d.components[0].p_value) == (0.0, 1.0)
+        assert (pillai.components[0].statistic, pillai.components[0].p_value) == (0.25, 0.49)
+        codes = np.array([ms.codes, [0, 0, 0, 0, 1, 1, 1, 1], [0, 0, 1, 1, 1, 1, 1, 0]])
+        mom = StatEngine(ms).moments(codes)
+        V, valid = _pillai_d_stack(mom, ms.n)
+        assert np.isnan(V[1]) and valid.tolist() == [True, False, True]
+        for l in (0, 2):
+            row = dataclasses.replace(
+                mom, **{f.name: getattr(mom, f.name)[l : l + 1] for f in dataclasses.fields(mom)}
+            )
+            assert _pillai_d_stack(row, ms.n)[0][0] == V[l]

@@ -11,16 +11,21 @@ helpers use.
   coordinates, so neither does any statistic of the seven tests; the
   rounding of far-off coordinates may move a permutation count by a tie.
 * The add-one p-value (1 + count)/(B + 1) is never 0 (Phipson & Smyth 2010).
+* T_FA's statistics are ratios of moments of equal degree, and the Pillai
+  trace is invariant under rescaling a profile column, so scaling one space's
+  distances by 10^k changes neither until the moments leave the float range;
+  there every test raises a documented error instead.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from metricmanova.inference import TEST_NAMES, run_tests
+from metricmanova.errors import MetricManovaError
+from metricmanova.inference import TEST_NAMES, run_test, run_tests
 from metricmanova.samples import GroupedMultiSample
-from metricmanova.spaces import euclidean_space
+from metricmanova.spaces import distance_matrix_space, euclidean_space
 
 R_TESTS = ["R_Euc", "R_AIRM", "R_LERM"]
 B = 9
@@ -97,3 +102,39 @@ def test_translating_and_rotating_coordinates_keeps_every_test(seed, J, offset):
         assert after[key].statistic == pytest.approx(component.statistic, rel=1e-9)
         if key[0] not in ("T_FA", "Pillai_d"):
             assert abs(after[key].p_value - component.p_value) <= 2 / (B + 1)
+
+
+def _reports_or_errors(ms):
+    """Each test's report, or the package error it raised."""
+    out = {}
+    for name in TEST_NAMES:
+        try:
+            out[name] = run_test(name, ms, B=B, seed=3)
+        except MetricManovaError as exc:
+            out[name] = exc
+    return out
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@few
+@given(seed=seeds, J=group_counts, k=st.integers(-150, 150))
+# at these scales the product of two of T_FA's moment variances overflows or
+# is subnormal, and T_1 used to read a wrong value with no error
+@example(seed=0, J=2, k=39)
+@example(seed=0, J=2, k=-40)
+def test_scaling_distances_keeps_t_fa_and_pillai_d_or_raises(seed, J, k):
+    coords, labels = _points(seed, J)
+    dist = np.linalg.norm(coords[1][:, None] - coords[1][None], axis=2)
+
+    def sample(scale):
+        spaces = [distance_matrix_space("D", dist * scale), euclidean_space("x", coords[0])]
+        return GroupedMultiSample(spaces, labels)
+
+    before = _reports_or_errors(sample(1.0))
+    for name, report in _reports_or_errors(sample(10.0**k)).items():
+        if isinstance(report, MetricManovaError):
+            continue
+        for c, c0 in zip(report.components, before[name].components):
+            assert np.isfinite(c.statistic) and 0.0 < c.p_value <= 1.0
+            if name in ("T_FA", "Pillai_d"):
+                assert c.statistic == pytest.approx(c0.statistic, rel=1e-9)
