@@ -27,10 +27,9 @@ from .inference import TEST_NAMES, check_test_names, run_tests
 from .rng import derive_rng, spawn_seed
 from .samples import GroupedMultiSample, distance_profile
 from .simulation import (
-    SCENARIO1_STUDIES,
-    SCENARIO2_STUDIES,
     estimate_rejection_rates,
     scenario_generator,
+    study_entry,
     study_grid,
 )
 from .spaces import euclidean_space
@@ -65,29 +64,28 @@ def build_parser() -> _Parser:
     test.add_argument("--out", default=None, help="output path (default: stdout)")
     test.add_argument("--format", choices=("json", "csv"), default="json")
 
-    sim = sub.add_parser("simulate", help="generate and save a scenario dataset")
-    sim.add_argument("--scenario", type=int, choices=(1, 2), required=True)
-    sim.add_argument("--study", type=int, required=True)
+    # the options simulate and power share: which study, its sizes and seed
+    study = _Parser(add_help=False)
+    study.add_argument("--scenario", type=int, choices=(1, 2), required=True)
+    study.add_argument("--study", type=int, required=True)
+    study.add_argument("--n1", type=int, default=100)
+    study.add_argument("--n2", type=int, default=100)
+    study.add_argument("--nodes", type=int, default=10, help="scenario-2 node count")
+    study.add_argument("--seed", type=int, required=True)
+
+    sim = sub.add_parser("simulate", parents=[study],
+                         help="generate and save a scenario dataset")
     sim.add_argument("--effect", type=float, default=None,
                      help="study parameter value (default: the null value)")
-    sim.add_argument("--n1", type=int, default=100)
-    sim.add_argument("--n2", type=int, default=100)
-    sim.add_argument("--nodes", type=int, default=10, help="scenario-2 node count")
-    sim.add_argument("--seed", type=int, required=True)
     sim.add_argument("--out", required=True, help="output dataset path")
 
-    power = sub.add_parser("power", help="rejection-rate sweep over a study grid")
-    power.add_argument("--scenario", type=int, choices=(1, 2), required=True)
-    power.add_argument("--study", type=int, required=True)
+    power = sub.add_parser("power", parents=[study],
+                           help="rejection-rate sweep over a study grid")
     power.add_argument("--grid", type=int, default=9, help="number of grid points")
     power.add_argument("--nsims", type=int, required=True)
     power.add_argument("--B", type=int, default=500)
     power.add_argument("--alpha", type=float, default=0.05)
     power.add_argument("--tests", default=",".join(TEST_NAMES))
-    power.add_argument("--n1", type=int, default=100)
-    power.add_argument("--n2", type=int, default=100)
-    power.add_argument("--nodes", type=int, default=10)
-    power.add_argument("--seed", type=int, required=True)
     power.add_argument("--out", default=None)
     power.add_argument("--format", choices=("json", "csv"), default="csv")
 
@@ -162,15 +160,16 @@ def _cmd_test(args) -> int:
     return 0
 
 
-def _null_value(scenario: int, study: int) -> float:
-    table = SCENARIO1_STUDIES if scenario == 1 else SCENARIO2_STUDIES
-    if study not in table:
-        raise _UsageError(f"scenario {scenario} has no study {study}")
-    return table[study][3]
+def _checked_study(args) -> tuple:
+    """The study's table entry; an unknown study is a usage error."""
+    try:
+        return study_entry(args.scenario, args.study)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
 
 
 def _cmd_simulate(args) -> int:
-    null = _null_value(args.scenario, args.study)  # validates the study id
+    null = _checked_study(args)[3]
     effect = null if args.effect is None else args.effect
     ms = scenario_generator(
         args.scenario, args.study, effect, n1=args.n1, n2=args.n2, nodes=args.nodes
@@ -181,7 +180,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_power(args) -> int:
     names = _parse_tests(args.tests)
-    _null_value(args.scenario, args.study)  # validates the study id
+    _checked_study(args)
     grid = study_grid(args.scenario, args.study, args.grid)
     estimates = []
     for gi, value in enumerate(grid):

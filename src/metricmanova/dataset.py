@@ -49,21 +49,44 @@ def _fmt(x: float) -> str:
 
 
 def _space_payload(sp: SpaceSample) -> tuple:
-    """(kind tag, extra header words, numeric rows) for one space block."""
-    rows = sp.coords
-    if sp.kind == "gaussian":
-        return "gaussian", [], rows
-    if sp.kind in ("euclidean-l2", "euclidean-l1"):
-        return sp.kind, ["dim", str(rows.shape[1])], rows
-    if sp.kind == "laplacian":
-        return "laplacian", ["nodes", str(math.isqrt(rows.shape[1]))], rows
-    if sp.kind == "distances":
-        return "distances", [], sp.pairwise()
-    raise DataError(
-        f"space {sp.space_id!r} of kind {sp.kind!r} has no file encoding; "
-        "only gaussian, euclidean, laplacian, and distance-matrix spaces "
-        "can be saved"
-    )
+    """(kind tag, extra header words, numeric rows) for one space block.
+
+    The tag's reader must rebuild the space: a coordinate tag needs rows of a
+    width its reader holds, and the reader must take the space's own mean.
+    Readers take the centroid of coordinate rows, except ``euclidean-l1``
+    rows wider than one, and the medoid of a distance matrix.
+    """
+    kind, rows = sp.kind, sp.coords
+    if kind == "distances":
+        extra, rows = [], sp.pairwise()
+    elif kind not in ("gaussian", "euclidean-l2", "euclidean-l1", "laplacian"):
+        raise DataError(
+            f"space {sp.space_id!r} of kind {kind!r} has no file encoding; "
+            "only gaussian, euclidean, laplacian, and distance-matrix spaces "
+            "can be saved"
+        )
+    elif rows is None:
+        raise DataError(f"space {sp.space_id!r} of kind {kind!r} has no coordinate rows")
+    else:
+        width = rows.shape[1]
+        nodes = math.isqrt(width)
+        if kind == "gaussian":
+            extra, fits = [], width == 2
+        elif kind == "laplacian":
+            extra, fits = ["nodes", str(nodes)], 0 < width == nodes * nodes
+        else:
+            extra, fits = ["dim", str(width)], width > 0
+        if not fits:
+            raise DataError(f"space {sp.space_id!r}: {kind} rows cannot have width {width}")
+    wide_l1 = kind == "euclidean-l1" and rows.shape[1] > 1
+    read = "medoid" if kind == "distances" or wide_l1 else "centroid"
+    own = "centroid" if sp.embedding is not None else "solver" if sp.has_exact_mean else "medoid"
+    if own != read:
+        raise DataError(
+            f"space {sp.space_id!r}: a {kind} block loads with the {read}, "
+            f"not this space's {own}"
+        )
+    return kind, extra, rows
 
 
 def _writable(what: str, tok: str) -> str:

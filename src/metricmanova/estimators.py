@@ -156,13 +156,13 @@ def moment_set(ms: GroupedMultiSample) -> MomentSet:
     if np.any(bad):
         j, s, t = np.argwhere(bad)[0]
         raise DegenerateDataError(
-            f"degenerate moment variance for group {ms.group_ids[j]!r}, "
+            f"degenerate moment variance for group {ms.group_ids[j].item()!r}, "
             f"space pair ({s}, {t})"
         )
     if not np.all(mom.cor_valid[0]):
         j = int(np.flatnonzero(~mom.cor_valid[0])[0])
         raise DegenerateDataError(
-            f"zero-variance distance column in group {ms.group_ids[j]!r}"
+            f"zero-variance distance column in group {ms.group_ids[j].item()!r}"
         )
 
     group_means = tuple(

@@ -147,12 +147,8 @@ class SpaceSample:
         """Full n-by-n distance matrix, computed once and cached."""
         if self._pairwise is None:
             X = self._embedding
-            if X is not None:
-                sq = np.sum(X * X, axis=1)
-                g = X @ X.T
-                d2 = np.maximum(sq[:, None] + sq[None, :] - 2.0 * g, 0.0)
-                mat = np.sqrt(d2)
-                np.fill_diagonal(mat, 0.0)
+            if X is not None:  # exactly symmetric, with a zero diagonal
+                mat = np.stack([self.distances_to(row) for row in X])
             else:
                 pts = self._points
                 n = self._n
@@ -170,7 +166,8 @@ class SpaceSample:
         if self._embedding is not None:
             row = np.asarray(point, dtype=float).reshape(-1)
             diff = self._embedding[idx] - row[None, :]
-            return np.sqrt(np.sum(diff * diff, axis=1))
+            with np.errstate(over="ignore"):  # an overflowed square reads inf
+                return np.sqrt(np.sum(diff * diff, axis=1))
         if self._points is None and self._coords is None:
             return self.pairwise()[idx, point]  # a bare matrix: points are indices
         out = np.empty(len(idx), dtype=float)

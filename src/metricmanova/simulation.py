@@ -7,6 +7,11 @@ once.  Scenario 2 draws random trees by degree-powered preferential attachment
 together with node covariates whose Gamma distribution is tied to the final
 node degrees, giving an intrinsic dependence between topology and covariates.
 
+Each study is one entry of ``SCENARIO1_STUDIES`` or ``SCENARIO2_STUDIES``
+(see there), which ``from_effect``, the scenario-1 path check, ``study_grid``,
+``scenario_generator`` and the command line read through :func:`study_entry`.
+Generators are ``functools.partial`` objects, so they pickle.
+
 Scenario 2's stream contract: group by group, each tree draws one
 ``rng.random(nodes - 2)`` (value t - 2 places node t), then one ``rng.gamma``
 of size ``nodes`` for its covariates.  The weights degree**gamma come from one
@@ -24,6 +29,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import partial
 from itertools import accumulate
 from typing import Callable, Optional, Sequence, Tuple
 
@@ -36,6 +42,33 @@ from .samples import GroupedMultiSample
 from .spaces import LaplacianMatrix, euclidean_space, gaussian_space, laplacian_space
 
 _PATH_TOL = 1.0e-9
+
+# study -> (parameter name, grid low, grid high, null value, fields), where
+# fields(value) gives the dataclass fields the study sets at ``value``.  A
+# scenario-1 study's first field carries the value itself, and the fields it
+# does not set stay at their defaults.
+SCENARIO1_STUDIES = {
+    1: ("delta", -1.0, 1.0, 0.0, lambda x: {"delta": x}),
+    2: ("r", 0.125, 3.0, 1.0, lambda x: {"r": x}),
+    3: ("v", 0.0, 0.9, 0.0, lambda x: {"v": x}),
+    4: ("v", 0.0, 0.9, math.sqrt(0.5), lambda x: {"v": x}),
+    5: ("Delta", 0.0, 1.0, 0.0, lambda x: {"delta": x, "r": 1.0 + 2.0 * x, "v": 0.9 * x}),
+}
+SCENARIO2_STUDIES = {
+    1: ("gamma1", 2.0, 3.0, 2.5, lambda x: {"gamma1": x, "gamma2": 2.5}),
+    2: ("gamma1", -1.0, 2.0, 1.0, lambda x: {"gamma1": x, "gamma2": 1.0}),
+    3: ("nu2", 0.125, 3.0, 1.0, lambda x: {"gamma1": 2.5, "gamma2": 2.5, "nu2": x}),
+    4: ("Delta", 0.0, 1.0, 0.0,
+        lambda x: {"gamma1": 2.5 + 0.5 * x, "gamma2": 2.5, "nu2": 1.0 + 2.0 * x}),
+}
+
+
+def study_entry(scenario: int, study: int) -> tuple:
+    """The ``SCENARIO*_STUDIES`` entry of one study; ValueError if unknown."""
+    studies = {1: SCENARIO1_STUDIES, 2: SCENARIO2_STUDIES}.get(scenario, {})
+    if study not in studies:
+        raise ValueError(f"unknown scenario/study ({scenario}, {study})")
+    return studies[study]
 
 
 @dataclass(frozen=True)
@@ -56,31 +89,23 @@ class Scenario1Params:
     n2: int = 100
 
     def __post_init__(self):
-        if self.study not in (1, 2, 3, 4, 5):
-            raise ValueError(f"study must be 1..5, got {self.study}")
+        fields = study_entry(1, self.study)[4]
         if self.r <= 0:
             raise ValueError(f"scale ratio must be positive, got {self.r}")
         if abs(self.v) >= 1:
             raise ValueError(f"correlation must lie in (-1, 1), got {self.v}")
         if self.n1 < 2 or self.n2 < 2:
             raise ValueError("both groups need at least 2 observations")
-        inactive = {
-            1: self.r == 1.0 and self.v == 0.0,
-            2: self.delta == 0.0 and self.v == 0.0,
-            3: self.delta == 0.0 and self.r == 1.0,
-            4: self.delta == 0.0 and self.r == 1.0,
-        }
-        if self.study in inactive and not inactive[self.study]:
-            raise ValueError(
-                f"study {self.study} varies one parameter; the others stay at "
-                "their null values"
-            )
-        if self.study == 5:
-            d = self.delta
-            if abs(self.r - (1.0 + 2.0 * d)) > _PATH_TOL or abs(self.v - 0.9 * d) > _PATH_TOL:
+        # set fields lie on the path at the first one's value; the rest keep
+        # their defaults exactly
+        path = fields(getattr(self, next(iter(fields(0.0)))))
+        for name in ("delta", "r", "v"):
+            value = getattr(self, name)
+            if (abs(value - path[name]) > _PATH_TOL if name in path
+                    else value != getattr(Scenario1Params, name)):
                 raise ValueError(
-                    "study 5 requires (delta, r, v) on the composite path "
-                    "(1-D)*(0,1,0) + D*(1,3,0.9)"
+                    f"study {self.study}: {name} = {value!r} is off the study's "
+                    f"path, which moves {', '.join(path)} only"
                 )
 
     @property
@@ -89,23 +114,8 @@ class Scenario1Params:
 
     @classmethod
     def from_effect(cls, study: int, value: float, n1: int = 100, n2: int = 100) -> "Scenario1Params":
-        """Parameters with the study's single moving parameter set to ``value``."""
-        if study == 1:
-            return cls(study=1, delta=value, n1=n1, n2=n2)
-        if study == 2:
-            return cls(study=2, r=value, n1=n1, n2=n2)
-        if study in (3, 4):
-            return cls(study=study, v=value, n1=n1, n2=n2)
-        if study == 5:
-            return cls(
-                study=5,
-                delta=value,
-                r=1.0 + 2.0 * value,
-                v=0.9 * value,
-                n1=n1,
-                n2=n2,
-            )
-        raise ValueError(f"study must be 1..5, got {study}")
+        """Parameters with the study's moving parameter set to ``value``."""
+        return cls(study=study, n1=n1, n2=n2, **study_entry(1, study)[4](value))
 
 
 @dataclass(frozen=True)
@@ -127,8 +137,7 @@ class Scenario2Params:
     n2: int = 100
 
     def __post_init__(self):
-        if self.study not in (1, 2, 3, 4):
-            raise ValueError(f"study must be 1..4, got {self.study}")
+        study_entry(2, self.study)
         if self.nu1 <= 0 or self.nu2 <= 0:
             raise ValueError("covariate variances must be positive")
         if self.nodes < 2:
@@ -142,52 +151,15 @@ class Scenario2Params:
     def from_effect(
         cls, study: int, value: float, nodes: int = 10, n1: int = 100, n2: int = 100
     ) -> "Scenario2Params":
-        if study == 1:
-            return cls(study=1, gamma1=value, gamma2=2.5, nodes=nodes, n1=n1, n2=n2)
-        if study == 2:
-            return cls(study=2, gamma1=value, gamma2=1.0, nodes=nodes, n1=n1, n2=n2)
-        if study == 3:
-            return cls(
-                study=3, gamma1=2.5, gamma2=2.5, nu2=value, nodes=nodes, n1=n1, n2=n2
-            )
-        if study == 4:
-            return cls(
-                study=4,
-                gamma1=2.5 + 0.5 * value,
-                gamma2=2.5,
-                nu1=1.0,
-                nu2=1.0 + 2.0 * value,
-                nodes=nodes,
-                n1=n1,
-                n2=n2,
-            )
-        raise ValueError(f"study must be 1..4, got {study}")
-
-
-# study -> (parameter name, grid low, grid high, null value)
-SCENARIO1_STUDIES = {
-    1: ("delta", -1.0, 1.0, 0.0),
-    2: ("r", 0.125, 3.0, 1.0),
-    3: ("v", 0.0, 0.9, 0.0),
-    4: ("v", 0.0, 0.9, math.sqrt(0.5)),
-    5: ("Delta", 0.0, 1.0, 0.0),
-}
-SCENARIO2_STUDIES = {
-    1: ("gamma1", 2.0, 3.0, 2.5),
-    2: ("gamma1", -1.0, 2.0, 1.0),
-    3: ("nu2", 0.125, 3.0, 1.0),
-    4: ("Delta", 0.0, 1.0, 0.0),
-}
+        """Parameters with the study's moving parameter set to ``value``."""
+        return cls(study=study, nodes=nodes, n1=n1, n2=n2, **study_entry(2, study)[4](value))
 
 
 def study_grid(scenario: int, study: int, points: int = 9) -> np.ndarray:
     """Evenly spaced parameter grid covering the study's range."""
     if points < 1:
         raise ValueError(f"grid needs at least one point, got {points}")
-    table = SCENARIO1_STUDIES if scenario == 1 else SCENARIO2_STUDIES
-    if scenario not in (1, 2) or study not in table:
-        raise ValueError(f"unknown scenario/study ({scenario}, {study})")
-    _, lo, hi, _ = table[study]
+    _, lo, hi, _, _ = study_entry(scenario, study)
     return np.linspace(lo, hi, points)
 
 
@@ -321,22 +293,24 @@ def gen_scenario2(params: Scenario2Params, seed: int) -> GroupedMultiSample:
     return GroupedMultiSample([space1, space2], labels)
 
 
+def _generate(params, seed: int) -> GroupedMultiSample:
+    """One dataset of ``params``' scenario.  The generator is looked up by
+    name at each call, so a rebound ``gen_scenario*`` takes effect."""
+    if isinstance(params, Scenario1Params):
+        return gen_scenario1(params, seed)
+    return gen_scenario2(params, seed)
+
+
 def scenario_generator(
-    scenario: int,
-    study: int,
-    value: float,
-    n1: int = 100,
-    n2: int = 100,
-    nodes: int = 10,
+    scenario: int, study: int, value: float, n1: int = 100, n2: int = 100, nodes: int = 10
 ) -> Callable[[int], GroupedMultiSample]:
-    """A seeded generator for one scenario/study at one parameter value."""
+    """A seeded, picklable generator for one scenario/study at one value."""
+    study_entry(scenario, study)  # a scenario other than 1 or 2 raises here
     if scenario == 1:
-        params1 = Scenario1Params.from_effect(study, value, n1=n1, n2=n2)
-        return lambda seed: gen_scenario1(params1, seed)
-    if scenario == 2:
-        params2 = Scenario2Params.from_effect(study, value, nodes=nodes, n1=n1, n2=n2)
-        return lambda seed: gen_scenario2(params2, seed)
-    raise ValueError(f"unknown scenario {scenario}")
+        params = Scenario1Params.from_effect(study, value, n1=n1, n2=n2)
+    else:
+        params = Scenario2Params.from_effect(study, value, nodes=nodes, n1=n1, n2=n2)
+    return partial(_generate, params)
 
 
 @dataclass(frozen=True)

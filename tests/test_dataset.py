@@ -5,7 +5,7 @@ import pytest
 
 from metricmanova.dataset import dumps_msd, load_msd, loads_msd, save_msd
 from metricmanova.errors import DataError
-from metricmanova.samples import GroupedMultiSample
+from metricmanova.samples import GroupedMultiSample, SpaceSample
 from metricmanova.simulation import (
     Scenario1Params,
     Scenario2Params,
@@ -117,6 +117,47 @@ class TestValidation:
         )
         with pytest.raises(DataError):
             dumps_msd(ms)
+
+    @pytest.mark.parametrize("kind", ["gaussian", "laplacian"])
+    def test_coordinate_tag_needs_a_width_its_reader_holds(self, kind):
+        # rows of width 3 under these tags used to write a file that
+        # loads_msd refused
+        sp = SpaceSample("X", coords=np.random.default_rng(3).normal(size=(8, 3)), kind=kind)
+        with pytest.raises(DataError, match=f"{kind} rows cannot have width 3"):
+            dumps_msd(GroupedMultiSample([sp], [1] * 4 + [2] * 4))
+
+    @pytest.mark.parametrize("kind", ["distances", "euclidean-l1"])
+    def test_tag_whose_reader_takes_another_mean_is_refused(self, kind):
+        # the file used to load as a medoid space where the original took the
+        # centroid, and under euclidean-l1 with the L1 metric in place of L2
+        sp = SpaceSample("X", coords=np.random.default_rng(4).normal(size=(8, 3)), kind=kind)
+        with pytest.raises(DataError, match="loads with the medoid, not this space's centroid"):
+            dumps_msd(GroupedMultiSample([sp], [1] * 4 + [2] * 4))
+
+    def test_distance_matrix_with_rows_is_refused_as_coordinates(self):
+        x = np.random.default_rng(5).normal(size=(8, 3))
+        d = np.linalg.norm(x[:, None] - x[None], axis=2)
+        sp = SpaceSample("X", coords=x, distances=d, kind="euclidean-l2")
+        with pytest.raises(DataError, match="loads with the centroid, not this space's medoid"):
+            dumps_msd(GroupedMultiSample([sp], [1] * 4 + [2] * 4))
+
+    @pytest.mark.parametrize("kind", ["gaussian", "euclidean-l2", "euclidean-l1", "laplacian"])
+    def test_coordinate_tag_without_coordinates_is_refused(self, kind):
+        # a points space under a coordinate tag raised AttributeError or TypeError
+        pts = list(np.random.default_rng(6).normal(size=(8, 3)))
+        sp = SpaceSample("P", points=pts, distance=lambda a, b: float(np.linalg.norm(a - b)),
+                         kind=kind)
+        with pytest.raises(DataError, match="has no coordinate rows"):
+            dumps_msd(GroupedMultiSample([sp], [1] * 4 + [2] * 4))
+
+    def test_points_under_a_distances_tag_keep_their_medoid(self):
+        pts = list(np.random.default_rng(7).normal(size=(8, 3)))
+        sp = SpaceSample("P", points=pts, distance=lambda a, b: float(np.linalg.norm(a - b)),
+                         kind="distances")
+        ms = GroupedMultiSample([sp], [1] * 4 + [2] * 4)
+        back = loads_msd(dumps_msd(ms))
+        assert np.array_equal(back.spaces[0].pairwise(), sp.pairwise())
+        assert not back.spaces[0].has_exact_mean
 
     @pytest.mark.parametrize(
         "labels, space_id, reason",

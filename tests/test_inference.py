@@ -852,7 +852,7 @@ class TestRunTest:
         with pytest.raises(SingularMatrixError, match=f"^R_mu_{kind}: .*ridge"):
             r_statistic(kind, "mean", moment_set(ms))
 
-    @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowed_profile_stays_in_its_group(self):
         # observation 3 lies near 1e160, so its group's squared norms and pair
         # products overflow; each group sums only its own members, so group 2
@@ -1095,6 +1095,15 @@ class TestNonFiniteObservedStatistics:
     def test_overflowed_profile_raises_in_scalar_helpers(self, helper):
         with pytest.raises(DegenerateDataError):
             helper(far_point_ms(row0_scale=1e200))
+
+    def test_moment_set_names_the_group_as_a_plain_value(self):
+        # numpy 2's repr read "group np.int64(0)"
+        with pytest.raises(DegenerateDataError, match=r"column in group 0$"):
+            moment_set(far_point_ms(row0_scale=1e200))
+        x = np.array([-1.0, 1.0, -1.0, 1.0, 0.3, 1.2, -0.5, 2.0])  # group 7: constant profile
+        ms = GroupedMultiSample([euclidean_space("e", x)], [7] * 4 + [1] * 4)
+        with pytest.raises(DegenerateDataError, match=r"variance for group 7, space pair \(0, 0\)$"):
+            moment_set(ms)
 
     @pytest.mark.parametrize("scale", [1e39, 1e-40])
     def test_t_fa_variance_product_out_of_range_raises(self, scale):

@@ -152,6 +152,20 @@ class TestFrechetMean:
         assert res.mean == pytest.approx(3.0)
 
 
+class TestCoordinatePairwise:
+    def test_far_from_the_origin_matches_direct_differences(self):
+        # the Gram expansion |x|^2 + |y|^2 - 2x.y read 0, 2.83 and 0 here
+        sp = euclidean_space("E", [[1e8], [1e8 + 1], [1e8 + 3]])
+        assert sp.pairwise().tolist() == [[0.0, 1.0, 3.0], [1.0, 0.0, 2.0], [3.0, 2.0, 0.0]]
+
+    def test_rows_are_the_direct_distances(self):
+        x = np.random.default_rng(8).normal(size=(9, 4)) * 1e3 + 5e7
+        want = np.sqrt(np.sum((x[:, None, :] - x[None, :, :]) ** 2, axis=2))
+        got = euclidean_space("E", x).pairwise()
+        assert got.tobytes() == want.tobytes()
+        assert np.array_equal(got, got.T) and not np.diag(got).any()
+
+
 class TestOverflowingSquares:
     """A valid distance matrix whose squares pass the largest float: the
     medoid rule clips them on purpose, so no RuntimeWarning is raised."""

@@ -1,17 +1,20 @@
 """Tests for the scenario generators and the Monte Carlo harness."""
 
 import math
+import pickle
 
 import numpy as np
 import pytest
 
 from metricmanova.cli import main
-from metricmanova.dataset import save_msd
+from metricmanova.dataset import dumps_msd, save_msd
 from metricmanova.engine import StatEngine
 from metricmanova.inference import TEST_NAMES, run_tests
 from metricmanova.rng import DATA_STREAM, TEST_STREAM, derive_rng, spawn_seed
 from metricmanova.samples import GroupedMultiSample, frechet_mean
 from metricmanova.simulation import (
+    SCENARIO1_STUDIES,
+    SCENARIO2_STUDIES,
     Scenario1Params,
     Scenario2Params,
     _degree_powers,
@@ -71,6 +74,24 @@ class TestScenario1Params:
             Scenario1Params(study=1, delta=0.5, r=2.0)
         with pytest.raises(ValueError):
             Scenario1Params(study=5, delta=0.5, r=1.0, v=0.45)
+        # a field the study does not set keeps its default exactly
+        with pytest.raises(ValueError, match="v = 1e-12 is off"):
+            Scenario1Params(study=2, r=2.0, v=1e-12)
+        with pytest.raises(ValueError, match="unknown scenario/study"):
+            Scenario1Params.from_effect(6, 0.5)
+
+    @pytest.mark.parametrize("offset", [5e-10, -5e-10])
+    def test_study5_path_tolerance_accepts(self, offset):
+        p = Scenario1Params(study=5, delta=0.5, r=2.0 + offset, v=0.45 - offset)
+        assert (p.r, p.v) == (2.0 + offset, 0.45 - offset)
+
+    @pytest.mark.parametrize("field", ["r", "v"])
+    @pytest.mark.parametrize("offset", [2e-9, -2e-9])
+    def test_study5_path_tolerance_refuses(self, field, offset):
+        on_path = {"delta": 0.5, "r": 2.0, "v": 0.45}
+        on_path[field] += offset
+        with pytest.raises(ValueError, match=f"{field} = .* off the study's path"):
+            Scenario1Params(study=5, **on_path)
 
     def test_null_points(self):
         # study 1 at delta=0 and study 2 at r=1 coincide with the baseline
@@ -197,6 +218,8 @@ class TestGenScenario2:
         p = Scenario2Params.from_effect(4, 1.0)
         assert (p.gamma1, p.nu2) == (3.0, 3.0)
         assert (p.gamma2, p.nu1) == (2.5, 1.0)
+        p = Scenario2Params.from_effect(4, 0.5)
+        assert (p.gamma1, p.gamma2, p.nu1, p.nu2) == (2.75, 2.5, 1.0, 2.0)
         with pytest.raises(ValueError):
             Scenario2Params(study=3, gamma1=2.5, gamma2=2.5, nu1=1.0, nu2=-1.0)
 
@@ -308,6 +331,25 @@ class TestStudyGrid:
             study_grid(1, 9)
         with pytest.raises(ValueError):
             study_grid(3, 1)
+
+
+class TestScenarioGenerator:
+    @pytest.mark.parametrize("scenario, study", [
+        (scenario, study)
+        for scenario, table in ((1, SCENARIO1_STUDIES), (2, SCENARIO2_STUDIES))
+        for study in table
+    ])
+    def test_generator_pickles(self, scenario, study):
+        # a process pool sends its generator to the workers by pickle
+        value = float(study_grid(scenario, study, 3)[1])
+        gen = scenario_generator(scenario, study, value, n1=5, n2=6, nodes=5)
+        clone = pickle.loads(pickle.dumps(gen))
+        assert dumps_msd(clone(17)) == dumps_msd(gen(17))
+
+    def test_unknown_scenario_or_study(self):
+        for scenario, study in ((3, 1), (1, 6), (2, 5)):
+            with pytest.raises(ValueError, match="unknown scenario/study"):
+                scenario_generator(scenario, study, 0.0)
 
 
 class TestRejectionRates:
