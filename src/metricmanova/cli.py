@@ -20,7 +20,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .dataset import load_msd, save_msd
+from .dataset import _fmt, load_msd, save_msd
 from .errors import DataError, DegenerateDataError
 from .estimators import frechet_correlation
 from .inference import TEST_NAMES, check_test_names, run_tests
@@ -42,10 +42,6 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # exit code 1 instead of argparse's default 2
         raise _UsageError(message)
-
-
-def _fmt(x) -> str:
-    return repr(float(x))
 
 
 def build_parser() -> _Parser:
@@ -125,11 +121,17 @@ def _json_payload(config: dict, key: str, rows) -> str:
     return json.dumps({"config": config, key: rows}, indent=2, sort_keys=True, allow_nan=False)
 
 
-def _csv_text(config: dict, header: List[str], rows: List[List[str]]) -> str:
-    lines = [f"# {k}={config[k]}" for k in sorted(config)]
-    lines.append(",".join(header))
-    lines.extend(",".join(row) for row in rows)
-    return "\n".join(lines) + "\n"
+def _write(args, config: dict, key: str, records: list, header: List[str], table) -> int:
+    """``records`` as JSON under ``key``, or else the CSV rows ``table``."""
+    if args.format == "json":
+        text = _json_payload(config, key, records)
+    else:
+        lines = [f"# {k}={config[k]}" for k in sorted(config)]
+        lines.append(",".join(header))
+        lines.extend(",".join(row) for row in table)
+        text = "\n".join(lines) + "\n"
+    _emit(text, args.out)
+    return 0
 
 
 def _cmd_test(args) -> int:
@@ -142,22 +144,16 @@ def _cmd_test(args) -> int:
         "alpha": args.alpha, "B": args.B, "seed": args.seed,
         "ridge": args.ridge, "format": args.format,
     }
-    if args.format == "json":
-        _emit(_json_payload(config, "reports", [asdict(r) for r in reports]), args.out)
-    else:
-        rows = []
-        for r in reports:
-            for c in r.components:
-                rows.append([
-                    r.test_name, c.name, _fmt(c.statistic),
-                    "" if c.p_value is None else _fmt(c.p_value),
-                    "" if c.threshold is None else _fmt(c.threshold),
-                    _fmt(c.level), str(c.reject), str(r.global_reject),
-                ])
-        header = ["test", "component", "statistic", "p_value", "threshold",
-                  "level", "component_reject", "global_reject"]
-        _emit(_csv_text(config, header, rows), args.out)
-    return 0
+    table = (
+        [r.test_name, c.name, _fmt(c.statistic),
+         "" if c.p_value is None else _fmt(c.p_value),
+         "" if c.threshold is None else _fmt(c.threshold),
+         _fmt(c.level), str(c.reject), str(r.global_reject)]
+        for r in reports for c in r.components
+    )
+    header = ["test", "component", "statistic", "p_value", "threshold",
+              "level", "component_reject", "global_reject"]
+    return _write(args, config, "reports", [asdict(r) for r in reports], header, table)
 
 
 def _checked_study(args) -> tuple:
@@ -201,16 +197,10 @@ def _cmd_power(args) -> int:
         "n1": args.n1, "n2": args.n2, "nodes": args.nodes,
         "seed": args.seed, "format": args.format,
     }
-    if args.format == "json":
-        _emit(_json_payload(config, "estimates", [asdict(e) for e in estimates]), args.out)
-    else:
-        rows = [
-            [e.test_name, _fmt(e.parameter), _fmt(e.rate), _fmt(e.mc_se), str(e.nsims)]
-            for e in estimates
-        ]
-        header = ["test", "parameter", "rate", "mc_se", "nsims"]
-        _emit(_csv_text(config, header, rows), args.out)
-    return 0
+    table = ([e.test_name, _fmt(e.parameter), _fmt(e.rate), _fmt(e.mc_se), str(e.nsims)]
+             for e in estimates)
+    header = ["test", "parameter", "rate", "mc_se", "nsims"]
+    return _write(args, config, "estimates", [asdict(e) for e in estimates], header, table)
 
 
 def demo_correlation_table(seed: int, n: int = 200) -> List[dict]:
@@ -266,16 +256,10 @@ def _cmd_demo(args) -> int:
     rows = demo_correlation_table(args.seed, args.n)
     config = {"command": "demo-correlation", "n": args.n, "seed": args.seed,
               "format": args.format}
-    if args.format == "json":
-        _emit(_json_payload(config, "correlations", rows), args.out)
-    else:
-        table = [
-            [str(r["scenario"]), r["shape"], _fmt(r["noncentered"]), _fmt(r["centered"])]
-            for r in rows
-        ]
-        _emit(_csv_text(config, ["scenario", "shape", "noncentered", "centered"], table),
-              args.out)
-    return 0
+    table = ([str(r["scenario"]), r["shape"], _fmt(r["noncentered"]), _fmt(r["centered"])]
+             for r in rows)
+    header = ["scenario", "shape", "noncentered", "centered"]
+    return _write(args, config, "correlations", rows, header, table)
 
 
 _COMMANDS = {

@@ -27,7 +27,6 @@ numbers are full-precision decimal text.
 from __future__ import annotations
 
 import io
-import math
 from typing import List
 
 import numpy as np
@@ -48,45 +47,63 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _space_payload(sp: SpaceSample) -> tuple:
-    """(kind tag, extra header words, numeric rows) for one space block.
+# Every block tag, declared once for the reader and the writer: the header
+# word before its count (or None), the numbers per row as a function of that
+# count (None for a distance block, whose rows are the matrix's lower
+# triangle), and the constructor that builds the space from (space id, rows
+# or matrix, count).
+_BLOCKS = {
+    "gaussian": (None, lambda c: 2, lambda sid, rows, c: gaussian_space(sid, rows)),
+    "euclidean-l2": ("dim", lambda c: c, lambda sid, rows, c: euclidean_space(sid, rows)),
+    "euclidean-l1": ("dim", lambda c: c, lambda sid, rows, c: euclidean_space(sid, rows, "L1")),
+    "laplacian": ("nodes", lambda c: c * c,
+                  lambda sid, rows, c: laplacian_space(sid, rows.reshape(len(rows), c, c))),
+    "distances": (None, None, lambda sid, mat, c: distance_matrix_space(sid, mat)),
+}
 
-    The tag's reader must rebuild the space: a coordinate tag needs rows of a
-    width its reader holds, and the reader must take the space's own mean.
-    Readers take the centroid of coordinate rows, except ``euclidean-l1``
-    rows wider than one, and the medoid of a distance matrix.
+
+def _mean_rule(sp: SpaceSample) -> str:
+    return "centroid" if sp.embedding is not None else "solver" if sp.has_exact_mean else "medoid"
+
+
+def _space_payload(sp: SpaceSample) -> tuple:
+    """(header words after the tag, rows) of one space block.
+
+    The tag's constructor rebuilds the space from exactly these rows, as the
+    reader will; it must take the space's own mean, and a medoid space must
+    come back with a bit-identical distance matrix.  A distance block is
+    built from the whole matrix: ``pairwise()`` is exactly symmetric with a
+    zero diagonal, so its lower triangle gives it back.
     """
-    kind, rows = sp.kind, sp.coords
-    if kind == "distances":
-        extra, rows = [], sp.pairwise()
-    elif kind not in ("gaussian", "euclidean-l2", "euclidean-l1", "laplacian"):
+    name = f"space {sp.space_id!r}"
+    if sp.kind not in _BLOCKS:
         raise DataError(
-            f"space {sp.space_id!r} of kind {kind!r} has no file encoding; "
-            "only gaussian, euclidean, laplacian, and distance-matrix spaces "
-            "can be saved"
+            f"{name} of kind {sp.kind!r} has no file encoding; "
+            f"the kinds that save are {', '.join(_BLOCKS)}"
         )
-    elif rows is None:
-        raise DataError(f"space {sp.space_id!r} of kind {kind!r} has no coordinate rows")
+    word, width, build = _BLOCKS[sp.kind]
+    if width is None:
+        rows, count = sp.pairwise(), None
+    elif sp.coords is None:
+        raise DataError(f"{name} of kind {sp.kind!r} has no coordinate rows")
     else:
-        width = rows.shape[1]
-        nodes = math.isqrt(width)
-        if kind == "gaussian":
-            extra, fits = [], width == 2
-        elif kind == "laplacian":
-            extra, fits = ["nodes", str(nodes)], 0 < width == nodes * nodes
-        else:
-            extra, fits = ["dim", str(width)], width > 0
-        if not fits:
-            raise DataError(f"space {sp.space_id!r}: {kind} rows cannot have width {width}")
-    wide_l1 = kind == "euclidean-l1" and rows.shape[1] > 1
-    read = "medoid" if kind == "distances" or wide_l1 else "centroid"
-    own = "centroid" if sp.embedding is not None else "solver" if sp.has_exact_mean else "medoid"
+        rows, have = sp.coords, sp.coords.shape[1]
+        # the least count whose rows are this wide; cheaper than writing a row
+        count = next((c for c in range(1, have + 1) if width(c) >= have), None)
+        if count is None or width(count) != have:
+            raise DataError(f"{name}: {sp.kind} rows cannot have width {have}")
+    try:
+        back = build(sp.space_id, rows, count)
+    except ValueError as exc:
+        raise DataError(f"{name}: its {sp.kind} block would not load: {exc}") from exc
+    own, read = _mean_rule(sp), _mean_rule(back)
     if own != read:
-        raise DataError(
-            f"space {sp.space_id!r}: a {kind} block loads with the {read}, "
-            f"not this space's {own}"
-        )
-    return kind, extra, rows
+        raise DataError(f"{name}: a {sp.kind} block loads with the {read}, not this space's {own}")
+    if own == "medoid" and not np.array_equal(back.pairwise(), sp.pairwise()):
+        raise DataError(f"{name}: a {sp.kind} block loads with other distances than this space's")
+    if width is None:
+        rows = [rows[i, :i] for i in range(1, sp.n)]
+    return ([] if word is None else [word, str(count)]), rows
 
 
 def _writable(what: str, tok: str) -> str:
@@ -111,15 +128,11 @@ def dumps_msd(ms: GroupedMultiSample) -> str:
     tokens = [_writable("label", str(lbl)) for lbl in ms.labels]
     out.write("labels " + " ".join(tokens) + "\n")
     for sp in ms.spaces:
-        kind, extra, rows = _space_payload(sp)
-        head = ["space", _writable("space id", str(sp.space_id)), kind] + extra
+        extra, rows = _space_payload(sp)
+        head = ["space", _writable("space id", str(sp.space_id)), sp.kind] + extra
         out.write(" ".join(head) + "\n")
-        if kind == "distances":
-            for i in range(1, ms.n):
-                out.write(" ".join(_fmt(rows[i, j]) for j in range(i)) + "\n")
-        else:
-            for row in rows:
-                out.write(" ".join(_fmt(x) for x in row) + "\n")
+        for row in rows:
+            out.write(" ".join(_fmt(x) for x in row) + "\n")
     return out.getvalue()
 
 
@@ -130,12 +143,16 @@ def save_msd(path, ms: GroupedMultiSample) -> None:
 
 
 class _LineReader:
+    """The text's non-blank lines, comments stripped, and their line numbers."""
+
     def __init__(self, text: str):
         self.lines: List[str] = []
-        for raw in text.splitlines():
+        self.numbers: List[int] = []
+        for number, raw in enumerate(text.splitlines(), 1):
             line = raw.split("#", 1)[0].strip()
             if line:
                 self.lines.append(line)
+                self.numbers.append(number)
         self.pos = 0
 
     def next(self, what: str) -> str:
@@ -144,10 +161,6 @@ class _LineReader:
         line = self.lines[self.pos]
         self.pos += 1
         return line
-
-    @property
-    def exhausted(self) -> bool:
-        return self.pos >= len(self.lines)
 
 
 def _floats(line: str, count: int, what: str) -> np.ndarray:
@@ -198,40 +211,31 @@ def loads_msd(text: str) -> GroupedMultiSample:
         if len(head) < 3 or head[0] != "space":
             raise DataError(f"expected 'space <id> <kind>', got {' '.join(head)!r}")
         sid, kind = head[1], head[2]
-        if kind in ("euclidean-l2", "euclidean-l1", "laplacian"):
-            word = "nodes" if kind == "laplacian" else "dim"
+        if kind not in _BLOCKS:
+            raise DataError(f"space {sid}: unknown kind {kind!r}")
+        word, width, build = _BLOCKS[kind]
+        count = None
+        if word is not None:
             if len(head) != 5 or head[3] != word:
                 raise DataError(f"space {sid}: expected '{word} <count>' in header")
-            size = _positive_int(head[4], f"space {sid}: {word}")
-        elif len(head) != 3 and kind in ("gaussian", "distances"):
+            count = _positive_int(head[4], f"space {sid}: {word}")
+        elif len(head) != 3:
             raise DataError(f"space {sid}: unexpected words after '{kind}' in header")
-        if kind == "gaussian":
-            rows = np.stack([_floats(rd.next("gaussian row"), 2, f"space {sid}") for _ in range(n)])
-            spaces.append(gaussian_space(sid, rows))
-        elif kind in ("euclidean-l2", "euclidean-l1"):
-            rows = np.stack([_floats(rd.next("euclidean row"), size, f"space {sid}") for _ in range(n)])
-            norm = "L2" if kind == "euclidean-l2" else "L1"
-            spaces.append(euclidean_space(sid, rows, norm=norm))
-        elif kind == "laplacian":
-            rows = np.stack(
-                [_floats(rd.next("laplacian row"), size * size, f"space {sid}") for _ in range(n)]
-            )
-            spaces.append(laplacian_space(sid, rows.reshape(n, size, size)))
-        elif kind == "distances":
+        if width is None:  # row i + 1 holds the i distances to observations 1..i
             if len(rd.lines) - rd.pos < n - 1:
                 raise DataError(
                     f"unexpected end of file: space {sid} needs {n - 1} distance rows"
                 )
-            mat = np.zeros((n, n), dtype=float)
+            rows = np.zeros((n, n), dtype=float)
             for i in range(1, n):
                 row = _floats(rd.next("distance row"), i, f"space {sid} row {i + 1}")
-                mat[i, :i] = row
-                mat[:i, i] = row
-            spaces.append(distance_matrix_space(sid, mat))
+                rows[i, :i] = rows[:i, i] = row
         else:
-            raise DataError(f"space {sid}: unknown kind {kind!r}")
-    if not rd.exhausted:
-        raise DataError(f"trailing content at line {rd.pos + 1}")
+            size, what, where = width(count), f"{kind.split('-')[0]} row", f"space {sid}"
+            rows = np.stack([_floats(rd.next(what), size, where) for _ in range(n)])
+        spaces.append(build(sid, rows, count))
+    if rd.pos < len(rd.lines):
+        raise DataError(f"trailing content at line {rd.numbers[rd.pos]}")
     return GroupedMultiSample(spaces, labels)
 
 

@@ -47,6 +47,10 @@ class SpaceSample:
     * ``points`` with a ``distance`` function, and optionally ``exact_mean``,
       a solver ``(points, weights) -> point`` returning the exact Fréchet mean
       of a subset; without it the mean is the medoid.
+
+    ``kind`` is the space's ``.msd`` block tag.  The five tags that save are
+    ``gaussian``, ``euclidean-l2``, ``euclidean-l1``, ``laplacian`` and
+    ``distances``; ``save_msd`` refuses any other kind.
     """
 
     def __init__(
@@ -139,7 +143,8 @@ class SpaceSample:
             raise DataError(f"space {self.space_id!r}: distance matrix not symmetric")
         if np.max(np.abs(np.diag(mat))) > _SYM_TOL * scale:
             raise DataError(f"space {self.space_id!r}: distance matrix diagonal not zero")
-        mat = 0.5 * (mat + mat.T)
+        mat = 0.5 * mat  # halved first, so two entries near the largest float sum finitely
+        mat += mat.T
         np.fill_diagonal(mat, 0.0)
         return mat
 

@@ -103,10 +103,11 @@ def _validate_laplacian_stack(stack: np.ndarray) -> None:
     if not np.all(np.isfinite(stack)):
         raise DataError("non-finite Laplacian entry")
     tol = _LAP_TOL * np.max(np.abs(stack))
-    if np.max(np.abs(stack - stack.transpose(0, 2, 1))) > tol:
-        raise DataError("Laplacian not symmetric")
-    if np.max(np.abs(stack.sum(axis=2))) > tol:
-        raise DataError("Laplacian row sums must be zero")
+    with np.errstate(over="ignore"):  # an overflowed difference or sum reads inf and fails
+        if np.max(np.abs(stack - stack.transpose(0, 2, 1))) > tol:
+            raise DataError("Laplacian not symmetric")
+        if np.max(np.abs(stack.sum(axis=2))) > tol:
+            raise DataError("Laplacian row sums must be zero")
     k = stack.shape[1]
     off = stack.copy()
     diag_idx = np.arange(k)
@@ -221,7 +222,8 @@ def euclidean_space(space_id: str, points, norm: str = "L2") -> SpaceSample:
         raise ValueError(f"unknown norm {norm!r}")
     l1 = None
     if norm == "L1" and arr.shape[1] > 1:
-        l1 = np.abs(arr[:, None, :] - arr[None, :, :]).sum(axis=2)
+        with np.errstate(over="ignore"):  # an overflowed distance reads inf and fails
+            l1 = np.abs(arr[:, None, :] - arr[None, :, :]).sum(axis=2)
     return SpaceSample(
         space_id,
         coords=arr,

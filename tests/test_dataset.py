@@ -2,17 +2,26 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from metricmanova.dataset import dumps_msd, load_msd, loads_msd, save_msd
 from metricmanova.errors import DataError
-from metricmanova.samples import GroupedMultiSample, SpaceSample
+from metricmanova.samples import GroupedMultiSample, SpaceSample, frechet_mean
 from metricmanova.simulation import (
     Scenario1Params,
     Scenario2Params,
     gen_scenario1,
     gen_scenario2,
 )
-from metricmanova.spaces import custom_space, distance_matrix_space, euclidean_space
+from metricmanova.spaces import (
+    custom_space,
+    distance_matrix_space,
+    euclidean_space,
+    gaussian_space,
+    laplacian_space,
+)
 
 
 def assert_same_multisample(a: GroupedMultiSample, b: GroupedMultiSample):
@@ -84,6 +93,13 @@ class TestValidation:
         with pytest.raises(DataError):
             loads_msd("\n".join(lines[:-2]))
 
+    @pytest.mark.parametrize("norm", ["L2", "L1"])
+    def test_truncated_euclidean_block_names_a_euclidean_row(self, norm):
+        sp = euclidean_space("E", np.arange(8.0).reshape(4, 2), norm)
+        text = dumps_msd(GroupedMultiSample([sp], ["a", "a", "b", "b"]))
+        with pytest.raises(DataError, match="^unexpected end of file while reading euclidean row$"):
+            loads_msd("\n".join(text.splitlines()[:-1]))
+
     def test_trailing_garbage(self):
         ms = gen_scenario1(Scenario1Params.from_effect(1, 0.0, n1=3, n2=3), seed=1)
         with pytest.raises(DataError):
@@ -150,6 +166,28 @@ class TestValidation:
         with pytest.raises(DataError, match="has no coordinate rows"):
             dumps_msd(GroupedMultiSample([sp], [1] * 4 + [2] * 4))
 
+    @pytest.mark.parametrize(
+        "kind, rows, reason",
+        [
+            ("gaussian", np.c_[np.arange(8.0), np.r_[np.ones(7), -1.0]], "all sigmas must be positive"),
+            ("laplacian", np.random.default_rng(8).normal(size=(8, 4)), "Laplacian not symmetric"),
+        ],
+    )
+    def test_rows_the_constructor_refuses_are_not_written(self, kind, rows, reason):
+        # these used to write a file that failed to load with the same reason
+        sp = SpaceSample("X", coords=rows, kind=kind)
+        with pytest.raises(DataError, match=f"^space 'X': its {kind} block would not load: {reason}$"):
+            dumps_msd(GroupedMultiSample([sp], [1] * 4 + [2] * 4))
+
+    def test_medoid_space_that_loads_with_other_distances_is_refused(self):
+        # rows beside their own L2 matrix and tagged euclidean-l1 used to load
+        # under the L1 metric, with no error
+        x = np.random.default_rng(5).normal(size=(8, 3))
+        d = np.linalg.norm(x[:, None] - x[None], axis=2)
+        sp = SpaceSample("X", coords=x, distances=d, kind="euclidean-l1")
+        with pytest.raises(DataError, match="loads with other distances than this space's"):
+            dumps_msd(GroupedMultiSample([sp], [1] * 4 + [2] * 4))
+
     def test_points_under_a_distances_tag_keep_their_medoid(self):
         pts = list(np.random.default_rng(7).normal(size=(8, 3)))
         sp = SpaceSample("P", points=pts, distance=lambda a, b: float(np.linalg.norm(a - b)),
@@ -180,6 +218,14 @@ class TestValidation:
             save_msd(path, ms)
         assert not path.exists()
 
+    def test_trailing_content_names_its_line_in_the_file(self):
+        ms = gen_scenario1(Scenario1Params.from_effect(1, 0.0, n1=3, n2=3), seed=1)
+        text = "\n\n# comment\n" + dumps_msd(ms) + "1.0 2.0\n"
+        assert text.splitlines()[-1] == "1.0 2.0"
+        # the reader used to count only the lines it kept
+        with pytest.raises(DataError, match=f"^trailing content at line {len(text.splitlines())}$"):
+            loads_msd(text)
+
     def test_comments_and_blank_lines_ignored(self):
         ms = gen_scenario1(Scenario1Params.from_effect(1, 0.0, n1=3, n2=3), seed=4)
         text = dumps_msd(ms)
@@ -187,3 +233,63 @@ class TestValidation:
             "spaces 2", "spaces 2  # two spaces"
         )
         assert_same_multisample(ms, loads_msd(noisy))
+
+
+def _valid_space(kind: str, n: int, size: int, rng) -> SpaceSample:
+    """A space of ``n`` valid observations under the tag ``kind``; ``size``
+    is the dimension or node count where the tag has one."""
+    if kind == "gaussian":
+        return gaussian_space("X", np.c_[rng.normal(size=n), rng.uniform(0.1, 3.0, n)])
+    if kind in ("euclidean-l2", "euclidean-l1"):
+        return euclidean_space("X", rng.normal(size=(n, size)) * 10.0, kind[-2:].upper())
+    if kind == "laplacian":
+        w = np.triu(rng.integers(0, 3, size=(n, size, size)), 1).astype(float)
+        w += w.transpose(0, 2, 1)
+        return laplacian_space("X", w.sum(axis=2)[:, :, None] * np.eye(size) - w)
+    x = rng.normal(size=(n, size))
+    return distance_matrix_space("X", np.linalg.norm(x[:, None] - x[None], axis=2))
+
+
+class TestBlockProperties:
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(
+        kind=st.sampled_from(["gaussian", "euclidean-l2", "euclidean-l1", "laplacian", "distances"]),
+        n=st.integers(2, 9),
+        size=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_valid_blocks_round_trip_with_their_mean(self, kind, n, size, seed):
+        """A space built by its tag's constructor loads back with equal rows
+        or an equal matrix, and the same Fréchet mean."""
+        sp = _valid_space(kind, n, size, np.random.default_rng(seed))
+        back = loads_msd(dumps_msd(GroupedMultiSample([sp], [0] * n))).spaces[0]
+        assert back.kind == kind
+        if kind == "distances":
+            assert np.array_equal(back.pairwise(), sp.pairwise())
+        else:
+            assert np.array_equal(back.coords, sp.coords)
+        mine, theirs = frechet_mean(sp), frechet_mean(back)
+        assert (theirs.solver, theirs.index) == (mine.solver, mine.index)
+        assert np.array_equal(np.asarray(theirs.mean), np.asarray(mine.mean))
+        assert theirs.objective == mine.objective
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(
+        kind=st.sampled_from(["gaussian", "euclidean-l2", "euclidean-l1", "laplacian"]),
+        rows=arrays(float, st.tuples(st.integers(2, 5), st.integers(1, 9)),
+                    elements=st.floats(allow_nan=False, allow_infinity=False)),
+    )
+    @example(kind="euclidean-l1", rows=np.array([[1.7e308, 0.0], [-1.7e308, 0.0]]))
+    @example(kind="euclidean-l1", rows=np.array([[0.0, 9e307], [9e307, 9e307]]))
+    @example(kind="laplacian", rows=np.array([[0.0, 1.7e308, -1.7e308, 0.0]] * 2))
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_finite_rows_write_only_what_loads(self, kind, rows):
+        """Any finite rows under a coordinate tag are refused with DataError
+        or written as text the reader accepts.  The examples overflow inside
+        the constructors, which must read inf and refuse without a warning."""
+        sp = SpaceSample("X", coords=rows, kind=kind)
+        try:
+            text = dumps_msd(GroupedMultiSample([sp], [0] * len(rows)))
+        except DataError:
+            return
+        loads_msd(text)

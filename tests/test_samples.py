@@ -209,6 +209,12 @@ class TestOverflowingSquares:
                 medoid = oracle_medoid_in_order(squares, idx)
                 assert np.array_equal(prof[l, idx, 0], sp.pairwise()[idx, medoid])
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_distances_past_half_the_largest_float_stay_finite(self):
+        # symmetrizing once added two such entries first and read inf
+        dist = np.array([[0.0, 1.5e308], [1.5e308, 0.0]])
+        assert np.array_equal(distance_matrix_space("D", dist).pairwise(), dist)
+
     def test_engine_squares_each_distance_matrix_once(self, monkeypatch):
         calls = []
 
