@@ -18,11 +18,17 @@ and faster than one three-row GEMM per labeling, and non-members get an
 additive +inf.  The centroid sums keep one GEMM per labeling: their bits
 reach the statistics, and four-row blocks moved them.  Only spaces with a
 user-supplied exact-mean solver keep a loop over labelings and groups.
-``moments`` walks the labelings in chunks small enough that each chunk's
-temporaries stay resident in a core's L2 cache; that bounds memory too, but
-the point is speed: fresh multi-megabyte temporaries cost more in page
-faults and memory traffic than their arithmetic.  A labeling's
-results never depend on the chunk it falls in.  The permutation sweep in
+``moments`` takes two lengths from one budget.  It computes the profiles in
+sub-chunks of labelings small enough that each kernel's temporaries, the
+(labelings, n, k) differences at the widest, stay resident in a core's L2
+cache; that bounds memory too, but the point is speed: fresh multi-megabyte
+temporaries cost more in page faults and memory traffic than their
+arithmetic.  Each sub-chunk writes its profiles into one (S, labelings, n)
+buffer of a moment block, a whole number of sub-chunks sized by the summed
+columns alone, and the sums run once per block: a k=100 space cuts an
+n=200 sweep into 6-labeling sub-chunks, and with two spaces each bincount
+then sums 78 labelings, a twelfth of the calls.  A labeling's results never
+depend on the sub-chunk or block it falls in.  The permutation sweep in
 ``inference.run_tests`` calls ``moments`` on coarser blocks, of at most
 ``_CHUNK_BUDGET // n`` labelings: a block's widest array is its label stack,
 and the statistics evaluated on each block's output cost a fixed overhead per
@@ -64,13 +70,16 @@ DEGENERATE_REL_TOL = 1.0e-10
 # a profile column variance below this relative level has no correlation
 COLUMN_VAR_REL_TOL = 1.0e-14
 
-# a chunk holds _CHUNK_BUDGET // (n * max(F, J, widest embedding)) labelings,
-# F the number of columns ``moments`` sums.  Timing ``moments`` on the
-# perfbench inputs (2-core x86 VM, 2 MiB L2 per core), 64k to 1M elements
-# ran alike; 4M ran the k=100 stacks 1.25-1.5x slower, and 32k fell to one
-# k=100 labeling per chunk, 1.6x slower.  F no longer sizes an array, but a
-# budget over the widest array alone gives 327-labeling chunks on scenario 1
-# (n=200, S=2), against 81, and ``moments`` ran 1.4-1.5x slower there.
+# a profile sub-chunk holds q = _CHUNK_BUDGET // (n * max(F, J, widest
+# embedding)) labelings, F the number of columns ``moments`` sums, and a
+# moment block the most whole sub-chunks within _CHUNK_BUDGET // (n * max(F,
+# J)), at least one.  Timing ``moments`` on the perfbench inputs (2-core x86
+# VM, 2 MiB L2 per core), 64k to 1M elements ran alike; 4M ran the k=100
+# stacks 1.25-1.5x slower, and 32k fell to one k=100 labeling per chunk, 1.6x
+# slower.  F sizes no array, but a block over the widest array alone holds
+# 327 labelings on scenario 1 (n=200, S=2), against 81, and ``moments`` ran
+# 1.4-1.5x slower there.  Blocks sized by k as well cut a k=100 sweep into
+# 84 rounds of 6-labeling bincounts, against 7 rounds of 78.
 _CHUNK_BUDGET = 131_072
 
 
@@ -136,14 +145,15 @@ class StatEngine:
 
     # -- distance profiles ----------------------------------------------------
 
-    def group_profiles(self, codes: np.ndarray) -> np.ndarray:
+    def group_profiles(self, codes: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """(L, n, S) distances from each observation to its group mean.
 
         ``codes`` is an (L, n) stack of group labelings, and the method builds
         its own (L, J, n) membership masks from it.  The result is the
-        transposed view of one C-contiguous (S, L, n) array.  A medoid is the
-        lowest-index member whose group sum of squared distances lies within
-        2(n_j - 1)·eps·min of the group's least sum.
+        transposed view of an (S, L, n) array: ``out`` when given (each
+        ``out[s]`` C-contiguous), else a fresh C-contiguous one.  A medoid is
+        the lowest-index member whose group sum of squared distances lies
+        within 2(n_j - 1)·eps·min of the group's least sum.
         """
         codes = np.asarray(codes, dtype=np.int64)
         L, n = codes.shape
@@ -151,7 +161,8 @@ class StatEngine:
         counts = masks.sum(axis=2)
         # row l * J + j of an (L * J, ...) per-group stack is labeling l's group j
         flat = np.arange(L)[:, None] * self.J + codes
-        out = np.empty((self.S, L, n), dtype=float)
+        if out is None:
+            out = np.empty((self.S, L, n), dtype=float)
         for s, (sp, X) in enumerate(zip(self.ms.spaces, self._embeddings)):
             if X is not None:
                 means = (masks @ X) / counts[:, :, None]
@@ -195,23 +206,31 @@ class StatEngine:
         # F = S + 2P columns: S profiles, P = S(S+1)/2 pair products and their squares
         pairs = list(zip(*np.triu_indices(S)))
         F = S + 2 * len(pairs)
-        widths = [F, J] + [X.shape[1] for X in self._embeddings if X is not None]
-        chunk = max(1, _CHUNK_BUDGET // (n * max(widths)))
-        for start in range(0, L, chunk):
-            sl = slice(start, min(start + chunk, L))
-            c = codes[sl]
-            p = self.group_profiles(c)
-            flat = (np.arange(len(c))[:, None] * J + c).ravel()
-            counts[sl] = cnt = np.bincount(flat, minlength=len(c) * J).reshape(len(c), J)
+        widest = max([F, J] + [X.shape[1] for X in self._embeddings if X is not None])
+        # profiles in sub-chunks of q labelings, moment sums over blocks of m,
+        # a whole number of sub-chunks
+        q = max(1, _CHUNK_BUDGET // (n * widest))
+        m = max(q, _CHUNK_BUDGET // (n * max(F, J)) // q * q)
+        profiles = np.empty((S, min(m, L), n), dtype=float)
+        for start in range(0, L, m):
+            c = codes[start : start + m]
+            rows = len(c)
+            for sub in range(0, rows, q):
+                end = min(sub + q, rows)
+                self.group_profiles(c[sub:end], out=profiles[:, sub:end])
+            p = profiles[:, :rows]
+            flat = (np.arange(rows)[:, None] * J + c).ravel()
+            sl = slice(start, start + rows)
+            counts[sl] = cnt = np.bincount(flat, minlength=rows * J).reshape(rows, J)
             for s in range(S):
-                col_mean[sl, :, s] = _group_means(flat, p[:, :, s], cnt)
+                col_mean[sl, :, s] = _group_means(flat, p[s], cnt)
             for a, b in pairs:
-                prod = p[:, :, a] * p[:, :, b]
+                prod = p[a] * p[b]
                 group_cov[sl, :, a, b] = group_cov[sl, :, b, a] = _group_means(flat, prod, cnt)
                 sq = _group_means(flat, prod * prod, cnt)
                 prod_sqmean[sl, :, a, b] = prod_sqmean[sl, :, b, a] = sq
-            # free this chunk's temporaries before the next chunk makes its own
-            del p, prod
+            # free this block's products before the next block's profiles
+            del prod
 
         gammas = counts / float(n)
         centered_cov = group_cov - col_mean[:, :, :, None] * col_mean[:, :, None, :]

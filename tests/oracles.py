@@ -59,9 +59,10 @@ def _group_masks(codes, J):
 
 
 def oracle_group_profiles(ms, codes):
-    """(L, n, S) ``StatEngine.group_profiles`` of centroid and medoid spaces by
-    two-array fancy indexing: ``means[rows, codes]`` for centroids and
-    ``pairwise()[arange(n), medoids[rows, codes]]`` for medoid distances."""
+    """(L, n, S) ``StatEngine.group_profiles`` by two-array fancy indexing:
+    ``means[rows, codes]`` for centroids and ``pairwise()[arange(n),
+    medoids[rows, codes]]`` for medoid distances; a space with an exact-mean
+    solver measures each group from the solver's mean of that group."""
     from metricmanova.samples import _clipped_squares, _medoids
 
     L, n = codes.shape
@@ -74,6 +75,11 @@ def oracle_group_profiles(ms, codes):
         if X is not None:
             diff = X[None, :, :] - ((masks @ X) / counts[:, :, None])[rows, codes]
             out[:, :, s] = np.sqrt(np.einsum("lnk,lnk->ln", diff, diff))
+        elif sp.has_exact_mean:
+            for l in range(L):
+                for j in range(ms.n_groups):
+                    idx = np.flatnonzero(codes[l] == j)
+                    out[l, idx, s] = sp.distances_to(sp.mean_of(idx), idx)
         else:
             medoids = _medoids(masks, _clipped_squares(sp.pairwise()))
             out[:, :, s] = sp.pairwise()[np.arange(n), medoids[rows, codes]]

@@ -428,8 +428,9 @@ def _on_kernel_grid(test):
 class TestGroupProfileKernel:
     """``StatEngine.group_profiles`` and ``moments`` on 40 permuted labelings
     of J=3 groups, one space of each kind: medoid, centroid, custom solver;
-    the chunk layout of ``moments`` at k=100; and the flat-index gathers and
-    per-pair products against fancy indexing and broadcasting, bit for bit."""
+    the profile sub-chunks and moment blocks of ``moments`` at k=100; and the
+    flat-index gathers and per-pair products against fancy indexing and
+    broadcasting, bit for bit."""
 
     L = 40
 
@@ -524,19 +525,23 @@ class TestGroupProfileKernel:
             monkeypatch.setattr(engine, "_CHUNK_BUDGET", 1)
         self._check_kernels(k, S, J, L, n)
 
+    @pytest.mark.parametrize("k", [2, 100])
     @pytest.mark.parametrize("S", [1, 2, 3])
-    def test_narrow_block_matches_full_block(self, S):
+    def test_narrow_block_matches_full_block(self, S, k):
         # run_tests evaluates a sweep in blocks of labelings; moments on each
-        # narrow block, 7 labelings wide, must equal the rows of one full call
-        ms = self._kernel_sample(2, S, 3, 120, 200)
+        # narrow block, 7 labelings wide or as wide as the futility schedule's
+        # 33 and 64, must equal the rows of one full call.  At k = 100 the
+        # profiles run in 6-labeling sub-chunks of longer moment blocks
+        ms = self._kernel_sample(k, S, 3, 120, 200)
         codes = np.stack([permuted_labels(ms.codes, 11, b) for b in range(120)])
         eng = StatEngine(ms)
         full = eng.moments(codes)
-        for start in range(0, 120, 7):
-            narrow = eng.moments(codes[start : start + 7])
-            for name, value in vars(narrow).items():
-                expected = getattr(full, name)[start : start + 7]
-                assert np.array_equal(value, expected, equal_nan=True), (start, name)
+        for width in (7, 33, 64):
+            for start in range(0, 120, width):
+                narrow = eng.moments(codes[start : start + width])
+                for name, value in vars(narrow).items():
+                    expected = getattr(full, name)[start : start + width]
+                    assert np.array_equal(value, expected, equal_nan=True), (width, start, name)
 
     @pytest.mark.filterwarnings("ignore:overflow")
     @pytest.mark.parametrize(
@@ -604,9 +609,9 @@ class TestGroupProfileKernel:
         chunks = []
         real = StatEngine.group_profiles
 
-        def counting(self, c):
+        def counting(self, c, out=None):
             chunks.append(len(c))
-            return real(self, c)
+            return real(self, c, out=out)
 
         monkeypatch.setattr(StatEngine, "group_profiles", counting)
         default = StatEngine(ms).moments(codes)
@@ -618,6 +623,56 @@ class TestGroupProfileKernel:
             assert len(chunks) == n_chunks
             for name, value in vars(default).items():
                 np.testing.assert_array_equal(getattr(other, name), value, err_msg=name)
+
+    def test_profile_sub_chunks_within_moment_blocks(self, monkeypatch):
+        # k = 100 sizes the profile sub-chunks and the F = 24 summed columns
+        # of four spaces the moment blocks: 200 labelings run in blocks of
+        # 84 (the last one short), each of 21-labeling sub-chunks
+        rng = np.random.default_rng(47)
+        n = 60
+        upper = np.triu(rng.integers(1, 4, size=(n, n)).astype(float), 1)
+        x = rng.normal(size=n)
+        ms = GroupedMultiSample(
+            [
+                euclidean_space("E", rng.normal(size=(n, 100)) * 3.0 + 50.0),
+                distance_matrix_space("D", upper + upper.T),
+                euclidean_space("F", rng.normal(size=(n, 2))),
+                custom_space(
+                    "C", list(x), lambda a, b: abs(a - b),
+                    exact_mean=lambda pts, w: float(np.mean(pts)),
+                ),
+            ],
+            np.arange(n) % 3,
+        )
+        L = 200
+        codes = np.stack([permuted_labels(ms.codes, 13, b) for b in range(L)])
+        q = engine._CHUNK_BUDGET // (n * 100)
+        assert 1 < q < engine._CHUNK_BUDGET // (n * 24) // q * q < L
+
+        calls = []
+        real = StatEngine.group_profiles
+
+        def counting(self, c, out=None):
+            calls.append(len(c))
+            return real(self, c, out=out)
+
+        monkeypatch.setattr(StatEngine, "group_profiles", counting)
+        stack = vars(StatEngine(ms).moments(codes))
+        assert len(calls) == -(-L // q)
+        monkeypatch.undo()
+
+        expected = [oracle_moment_stack(ms, codes)]
+        for budget in (1, 10**9):
+            monkeypatch.setattr(engine, "_CHUNK_BUDGET", budget)
+            expected.append(vars(StatEngine(ms).moments(codes)))
+        monkeypatch.undo()
+        eng = StatEngine(ms)
+        rows = [vars(eng.moments(codes[l : l + 1])) for l in range(L)]
+        expected.append({name: np.concatenate([r[name] for r in rows]) for name in stack})
+        for i, other in enumerate(expected):
+            assert other.keys() == stack.keys()
+            for name, value in other.items():
+                assert np.array_equal(stack[name], value, equal_nan=True), (i, name)
 
     def test_stack_row_equals_single_labeling(self):
         ms = self._multisample()
