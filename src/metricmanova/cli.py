@@ -203,6 +203,17 @@ def _cmd_power(args) -> int:
     return _write(args, config, "estimates", [asdict(e) for e in estimates], header, table)
 
 
+# the demo's shapes in scenario order: the name, and X2 from X1, X1's noise
+# and the shape's own stream (drawn from after X1 and the noise)
+_DEMO_SHAPES = (
+    ("linear", lambda x1, noise, rng: x1 + noise),
+    ("negative-linear", lambda x1, noise, rng: 1.0 - x1 + noise),
+    ("v-shaped", lambda x1, noise, rng: 2.0 * np.abs(x1 - 0.5) + noise),
+    ("inverted-v", lambda x1, noise, rng: 1.0 - 2.0 * np.abs(x1 - 0.5) + noise),
+    ("independent", lambda x1, noise, rng: rng.uniform(0.0, 1.0, x1.size)),
+)
+
+
 def demo_correlation_table(seed: int, n: int = 200) -> List[dict]:
     """Centered vs non-centered correlation on five bivariate shapes.
 
@@ -211,28 +222,11 @@ def demo_correlation_table(seed: int, n: int = 200) -> List[dict]:
     in one-dimensional Euclidean space under the L1 metric.  Illustrative
     only.
     """
-    shapes = {
-        1: "linear",
-        2: "negative-linear",
-        3: "v-shaped",
-        4: "inverted-v",
-        5: "independent",
-    }
     out = []
-    for k, shape in shapes.items():
+    for k, (shape, x2_rule) in enumerate(_DEMO_SHAPES, start=1):
         rng = derive_rng(seed, k)
         x1 = rng.uniform(0.0, 1.0, n)
-        noise = rng.uniform(-0.05, 0.05, n)
-        if k == 1:
-            x2 = x1 + noise
-        elif k == 2:
-            x2 = 1.0 - x1 + noise
-        elif k == 3:
-            x2 = 2.0 * np.abs(x1 - 0.5) + noise
-        elif k == 4:
-            x2 = 1.0 - 2.0 * np.abs(x1 - 0.5) + noise
-        else:
-            x2 = rng.uniform(0.0, 1.0, n)
+        x2 = x2_rule(x1, rng.uniform(-0.05, 0.05, n), rng)
         ms = GroupedMultiSample(
             [
                 euclidean_space("X1", x1[:, None], norm="L1"),

@@ -40,7 +40,11 @@ the inf and NaN their validity masks catch, so the error comes unwarned.
 
 Each statistic has one implementation, on a stack of L labelings
 (``_r_stack``, ``_fa_stack``, ``_pillai_stack``, ``_pillai_d_stack``), and
-``_perm_p`` is the one p-value count.  ``run_tests`` makes one sweep over
+``_perm_p`` is the one p-value count.  ``_r_stack`` evaluates all three R
+targets on one matrix stack in a fixed order: the pooled covariance, the L
+weighted covariances, the L*J group covariances and the L*J group
+correlations.  ``_component_table`` reads the requested test names to choose
+the stacks a block evaluates.  ``run_tests`` makes one sweep over
 B + 1 labelings: row 0 is the observed labeling and row b + 1 is permutation
 replicate b.  It walks the rows in blocks of ``_CHUNK_BUDGET // n``
 labelings, drawing each block's shuffles with one batched ``permuted_labels``
@@ -174,50 +178,38 @@ def _r_stack(
     mom: MomentStack,
     pooled_cov: np.ndarray,
     kinds: Sequence[str],
-    targets: Sequence[str],
     *,
     ridge: bool = False,
 ) -> Dict[Tuple[str, str], Tuple[np.ndarray, np.ndarray]]:
     """(values, validity) per (kind, target) over the labeling stack.
 
     ``"mean"`` is d(pooled, weighted); ``"cov"``/``"cor"`` sum
-    gamma_j*gamma_j' d(M_j, M_j') over group pairs j < j'.  One stack holds
-    every matrix the targets compare: the pooled and the weighted covariances
-    for ``"mean"``, the group covariances and the group correlations.  Each
-    distance is one (X, Y) index pair into it, so each kind makes one kernel
-    call for all targets.  The ridge repairs AIRM and LERM inputs only.  With
-    LERM requested the stack's logs are taken first, and their validity mask
-    at X is AIRM's floor test on A.
+    gamma_j*gamma_j' d(M_j, M_j') over group pairs j < j'.  One stack holds,
+    in this order, the pooled covariance, the L weighted covariances, the L*J
+    group covariances and the L*J group correlations (an invalid one as I).
+    Each distance is one (X, Y) index pair into it, so each kind makes one
+    kernel call for all three targets.  The ridge repairs AIRM and LERM
+    inputs only.  With LERM requested the stack's logs are taken first, and
+    their validity mask at X is AIRM's floor test on A.
     """
     L, J = mom.counts.shape
+    eye = np.eye(pooled_cov.shape[0])
+    cors = np.where(mom.cor_valid[:, :, None, None], mom.group_cor, eye)
+    stack = np.concatenate([
+        pooled_cov[None],
+        mom.weighted_cov,
+        mom.group_cov.reshape((L * J,) + eye.shape),
+        cors.reshape((L * J,) + eye.shape),
+    ])
     j1, j2 = np.triu_indices(J, 1)
+    P = j1.size
+    # stack index of row l's first group covariance and first group correlation
+    cov_at = 1 + L + J * np.arange(L)[:, None]
+    cor_at = cov_at + L * J
+    X = np.concatenate([np.zeros(L, dtype=int), (cov_at + j1).ravel(), (cor_at + j1).ravel()])
+    Y = np.concatenate([1 + np.arange(L), (cov_at + j2).ravel(), (cor_at + j2).ravel()])
     pair_w = mom.gammas[:, j1] * mom.gammas[:, j2]
-    rows = np.arange(L)[:, None]
-    parts, X, Y, weights = [], [], [], []
-    size = 0
-    for target in targets:
-        if target == "mean":
-            parts += [pooled_cov[None], mom.weighted_cov]
-            X.append(np.full((L, 1), size))
-            Y.append(size + 1 + rows)
-            weights.append(np.ones((1, 1)))
-            size += 1 + L
-            continue
-        if target == "cov":
-            mats = mom.group_cov
-        else:
-            eye = np.eye(pooled_cov.shape[0])
-            mats = np.where(mom.cor_valid[:, :, None, None], mom.group_cor, eye)
-        parts.append(mats.reshape((L * J,) + mats.shape[2:]))
-        X.append(size + rows * J + j1)
-        Y.append(size + rows * J + j2)
-        weights.append(pair_w)
-        size += L * J
-    stack = np.concatenate(parts)
-    # target t's distances are entries ends[t] .. ends[t + 1] of the pair axis
-    ends = np.cumsum([0] + [x.size for x in X])
-    X = np.concatenate([x.ravel() for x in X])
-    Y = np.concatenate([y.ravel() for y in Y])
+    cor_ok = mom.cor_valid.all(axis=1)
     spd = stack_ridge(stack) if ridge else stack
     if "LERM" in kinds:
         logs, log_ok = stack_matrix_log(spd)
@@ -233,24 +225,32 @@ def _r_stack(
             points = logs if kind == "LERM" else stack
             d = np.linalg.norm(points[X] - points[Y], axis=(-2, -1))
             ok = log_ok[X] & log_ok[Y] if kind == "LERM" else np.ones(d.shape, dtype=bool)
-        for t, target in enumerate(targets):
-            d_t = d[ends[t]:ends[t + 1]].reshape(L, -1)
+        out[(kind, "mean")] = (d[:L], ok[:L])
+        for target, part in (("cov", slice(L, L + L * P)), ("cor", slice(L + L * P, None))):
+            d_t = d[part].reshape(L, P)
             vals = np.zeros(L)
-            for p in range(d_t.shape[1]):
-                vals += weights[t][:, p] * d_t[:, p]
-            ok_t = ok[ends[t]:ends[t + 1]].reshape(L, -1).all(axis=1)
-            if target == "cor":
-                ok_t &= mom.cor_valid.all(axis=1)
-            out[(kind, target)] = (vals, ok_t)
+            for p in range(P):
+                vals += pair_w[:, p] * d_t[:, p]
+            ok_t = ok[part].reshape(L, P).all(axis=1)
+            out[(kind, target)] = (vals, ok_t & cor_ok if target == "cor" else ok_t)
     return out
 
 
 def _pooled_inverse(pooled_cov: np.ndarray) -> np.ndarray:
-    w = np.linalg.eigvalsh(pooled_cov)
-    if w[0] <= SPD_FLOOR_REL * max(float(w[-1]), 0.0):
-        raise SingularMatrixError(
-            f"pooled covariance matrix is singular (eigenvalue {w[0]:.6e})"
-        )
+    """Sigma_p^-1, once the correlation form D^-1/2 Sigma_p D^-1/2 clears the
+    strict-PD floor.  Rescaling a space's distances scales D only, so the
+    test has no units, as S - tr(Sigma_g Sigma_p^-1) has none.  A non-finite
+    entry is left to the observed check of the statistic built on it."""
+    if np.all(np.isfinite(pooled_cov)):
+        d = np.diag(pooled_cov)
+        if not np.all(d > 0.0):
+            raise SingularMatrixError("pooled covariance matrix has a zero variance")
+        s = 1.0 / np.sqrt(d)  # in range for every positive float d
+        w = np.linalg.eigvalsh(pooled_cov * s[:, None] * s)
+        if w[0] <= SPD_FLOOR_REL * max(float(w[-1]), 0.0):
+            raise SingularMatrixError(
+                f"pooled correlation matrix is singular (eigenvalue {w[0]:.6e})"
+            )
     return np.linalg.inv(pooled_cov)
 
 
@@ -346,7 +346,7 @@ def r_statistic(
     }[target]
     for mat in checked:
         as_spd(mat)  # asymmetric, indefinite or non-finite input raises
-    cells = _r_stack(moments.stack, moments.pooled_cov, (kind,), (target,), ridge=ridge)
+    cells = _r_stack(moments.stack, moments.pooled_cov, (kind,), ridge=ridge)
     vals, ok = cells[(kind, target)]
     if not ok[0]:
         raise SingularMatrixError(
@@ -445,29 +445,28 @@ def _component_names(name: str, S: int) -> list:
 
 def _component_table(
     mom: MomentStack,
-    pooled_cov: np.ndarray,
-    n: int,
-    r_kinds: Sequence[str],
-    fa_cells: Dict[str, Tuple[int, int]],
+    engine: StatEngine,
+    names: Sequence[str],
     pooled_inv: Optional[np.ndarray],
-    pillai_d: bool,
     ridge: bool,
 ) -> Dict[str, Tuple[np.ndarray, np.ndarray]]:
-    """(values, validity) per component name over the labeling stack."""
+    """(values, validity) per component of the tests ``names`` over the
+    labeling stack; ``pooled_inv`` is the pooled inverse when ``Pillai`` is
+    among them."""
     table = {}
-    if r_kinds:
-        r_cells = _r_stack(mom, pooled_cov, r_kinds, R_TARGETS, ridge=ridge)
-        for (kind, target), cell in r_cells.items():
+    kinds = tuple(k for k in SPD_KINDS if f"R_{k}" in names)
+    if kinds:
+        for (kind, target), cell in _r_stack(mom, engine.pooled_cov, kinds, ridge=ridge).items():
             table[_r_name(kind, target)] = cell
-    if fa_cells:
-        T = _fa_stack(mom, pooled_cov, n)[2]
-        for comp_name, (s, t) in fa_cells.items():
+    if "T_FA" in names or "T_FA_perm" in names:
+        T = _fa_stack(mom, engine.pooled_cov, engine.n)[2]
+        for comp_name, (s, t) in _fa_components(engine.S).items():
             table[comp_name] = (T[:, s, t], np.isfinite(T[:, s, t]))
-    if pooled_inv is not None:
+    if "Pillai" in names:
         values = _pillai_stack(mom.weighted_cov, pooled_inv)
         table["pillai"] = (values, np.isfinite(values))
-    if pillai_d:
-        table["pillai_d"] = _pillai_d_stack(mom, n)
+    if "Pillai_d" in names:
+        table["pillai_d"] = _pillai_d_stack(mom, engine.n)
     return table
 
 
@@ -586,8 +585,6 @@ def run_tests(
     if "Pillai_d" in names and n - J - S < 1:  # the F approximation's error df
         raise ValueError(f"need n - J - S >= 1 (n={n}, J={J}, S={S})")
     engine = StatEngine(ms)
-    r_kinds = tuple(k for k in SPD_KINDS if f"R_{k}" in names)
-    fa_cells = _fa_components(S) if "T_FA" in names or "T_FA_perm" in names else {}
     pooled_inv = _pooled_inverse(engine.pooled_cov) if "Pillai" in names else None
     tests = {name: _component_names(name, S) for name in names}
     # the level of each permutation-calibrated component
@@ -614,10 +611,7 @@ def run_tests(
         first = max(start, 1)
         permuted_labels(ms.codes, seed, range(first - 1, stop - 1), out=codes[first - start:])
         mom = engine.moments(codes)
-        cells = _component_table(
-            mom, engine.pooled_cov, n, r_kinds, fa_cells, pooled_inv,
-            "Pillai_d" in names, ridge,
-        )
+        cells = _component_table(mom, engine, names, pooled_inv, ridge)
         if start == 0:
             # observed statistics, with strict degeneracy errors
             for comp_name, (values, valid) in cells.items():

@@ -105,6 +105,27 @@ class TestSimulateAndTest:
         assert lines[0].startswith("test,component,")
         assert len(lines) == 4  # header + T_1, T_2, T_1_2
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_stdout_is_the_out_file(self, tmp_path, capsys, fmt):
+        # without --out the same text goes to stdout, ended by one newline:
+        # the JSON text has none of its own, the CSV text ends in one
+        data = tmp_path / "d.msd"
+        assert run_cli([
+            "simulate", "--scenario", "1", "--study", "1", "--n1", "10",
+            "--n2", "10", "--seed", "4", "--out", str(data),
+        ]) == 0
+        out = tmp_path / f"r.{fmt}"
+        args = ["test", "--input", str(data), "--tests", "R_Euc,T_FA",
+                "--seed", "1", "--B", "9", "--format", fmt]
+        assert run_cli(args + ["--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert run_cli(args) == 0
+        text = out.read_bytes().decode("utf-8")
+        assert text.endswith("\n") == (fmt == "csv")
+        captured = capsys.readouterr()
+        assert captured.out == (text + "\n" if fmt == "json" else text)
+        assert captured.err == ""
+
 
 class TestDemoCorrelation:
     def test_linear_scenario_signs(self):

@@ -139,6 +139,12 @@ class TestMomentSet:
             labels,
         )
 
+    def test_counts_and_sizes(self):
+        m = moment_set(self._two_group_sample(np.random.default_rng(45)))
+        assert m.counts.dtype == np.int64
+        assert m.counts.tolist() == [12, 15]
+        assert (m.n_groups, m.n_spaces) == (2, 2)
+
     def test_single_group(self):
         rng = np.random.default_rng(46)
         x = rng.normal(size=(10, 2))

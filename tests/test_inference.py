@@ -385,6 +385,28 @@ class TestPillai:
         synthetic = dataclasses.replace(m, stack=stack, pooled_cov=pooled)
         assert pillai_adapted(synthetic) == pytest.approx(expected, rel=1e-12)
 
+    def test_adapted_singular_floor_has_no_units(self):
+        # rescaling profile column 2 by c maps Sigma to D Sigma D, which leaves
+        # S - tr(Sigma_g Sigma_p^-1) alone; a floor on the raw eigenvalues
+        # raised from |log10 c| = 6 on
+        m = moment_set(random_two_group_ms(np.random.default_rng(70)))
+        base = pillai_adapted(m)
+
+        def scaled(pooled, weighted):
+            stack = dataclasses.replace(m.stack, weighted_cov=weighted[None])
+            return dataclasses.replace(m, stack=stack, pooled_cov=pooled)
+
+        for c in (1e-150, 1e-7, 1e7, 1e150):
+            D = np.diag([1.0, c])
+            synthetic = scaled(D @ m.pooled_cov @ D, D @ m.weighted_cov @ D)
+            assert pillai_adapted(synthetic) == pytest.approx(base, rel=1e-9)
+        for c in (1e-7, 1.0, 1e7):
+            with pytest.raises(SingularMatrixError, match="zero variance"):
+                pillai_adapted(scaled(np.diag([c, 0.0]), m.weighted_cov))
+            collinear = c * np.array([[1.0, 2.0], [2.0, 4.0]])
+            with pytest.raises(SingularMatrixError, match="correlation matrix is singular"):
+                pillai_adapted(scaled(collinear, m.weighted_cov))
+
     def test_adapted_toy8_matches_oracle(self):
         ms = toy8_ms()
         per_group, pooled = oracle_profiles_euclidean([TOY8_X, TOY8_Y], TOY8_LABELS)

@@ -122,6 +122,9 @@ def _reports_or_errors(ms):
 # is subnormal, and T_1 used to read a wrong value with no error
 @example(seed=0, J=2, k=39)
 @example(seed=0, J=2, k=-40)
+# Pillai's singularity floor used to compare raw eigenvalues and raised here
+@example(seed=0, J=2, k=6)
+@example(seed=1, J=3, k=-30)
 def test_scaling_distances_keeps_t_fa_and_pillai_d_or_raises(seed, J, k):
     coords, labels = _points(seed, J)
     dist = np.linalg.norm(coords[1][:, None] - coords[1][None], axis=2)
@@ -131,10 +134,13 @@ def test_scaling_distances_keeps_t_fa_and_pillai_d_or_raises(seed, J, k):
         return GroupedMultiSample(spaces, labels)
 
     before = _reports_or_errors(sample(1.0))
-    for name, report in _reports_or_errors(sample(10.0**k)).items():
+    after = _reports_or_errors(sample(10.0**k))
+    if not isinstance(after["T_FA"], MetricManovaError):
+        assert not isinstance(after["Pillai"], MetricManovaError)
+    for name, report in after.items():
         if isinstance(report, MetricManovaError):
             continue
         for c, c0 in zip(report.components, before[name].components):
             assert np.isfinite(c.statistic) and 0.0 < c.p_value <= 1.0
-            if name in ("T_FA", "Pillai_d"):
+            if name in ("T_FA", "Pillai_d", "Pillai"):
                 assert c.statistic == pytest.approx(c0.statistic, rel=1e-9)

@@ -9,6 +9,7 @@ import pytest
 from metricmanova.cli import main
 from metricmanova.dataset import dumps_msd, save_msd
 from metricmanova.engine import StatEngine
+from metricmanova.errors import DegenerateDataError, UnstableStatisticError
 from metricmanova.inference import TEST_NAMES, run_tests
 from metricmanova.rng import DATA_STREAM, TEST_STREAM, derive_rng, spawn_seed
 from metricmanova.samples import GroupedMultiSample, frechet_mean
@@ -388,6 +389,52 @@ class TestRejectionRates:
         gen = scenario_generator(1, 1, 0.0, n1=30, n2=30)
         with pytest.raises(ValueError, match="'T_FA' requested twice"):
             estimate_rejection_rates(["T_FA", "T_FA"], gen, nsims=40, B=1, seed=5)
+
+
+class ZeroGroupFirst:
+    """Two-group Euclidean replicates, counted; in the first ``bad`` of them
+    group 2 sits at the origin in both spaces, a zero moment variance."""
+
+    def __init__(self, bad):
+        self.bad = bad
+        self.calls = 0
+
+    def __call__(self, seed):
+        rng = np.random.default_rng(seed)
+        x, y = rng.normal(size=(30, 2)), rng.normal(size=(30, 1))
+        if self.calls < self.bad:
+            x[15:] = y[15:] = 0.0
+        self.calls += 1
+        return GroupedMultiSample(
+            [euclidean_space("x", x), euclidean_space("y", y)], [1] * 15 + [2] * 15
+        )
+
+
+class TestDegenerateReplicates:
+    """A degenerate replicate is dropped; more than 1% of them abort."""
+
+    NAMES = ["T_FA", "Pillai"]
+
+    def test_one_in_a_hundred_is_dropped(self):
+        gen = ZeroGroupFirst(1)
+        with pytest.raises(DegenerateDataError):
+            run_tests(self.NAMES, gen(spawn_seed(1, DATA_STREAM, 0)), B=19, seed=1)
+        gen.calls = 0
+        ests = estimate_rejection_rates(self.NAMES, gen, nsims=100, B=19, seed=1)
+        assert gen.calls == 100
+        assert [e.nsims for e in ests] == [99, 99]
+        hits = np.zeros(2)
+        for k in range(1, 100):
+            reports = run_tests(self.NAMES, gen(spawn_seed(1, DATA_STREAM, k)), B=19,
+                                seed=spawn_seed(1, TEST_STREAM, k))
+            hits += [r.global_reject for r in reports]
+        assert [e.rate for e in ests] == list(hits / 99)
+
+    def test_two_in_a_hundred_abort(self):
+        gen = ZeroGroupFirst(2)
+        with pytest.raises(UnstableStatisticError, match="^2 of 100 simulation replicates"):
+            estimate_rejection_rates(self.NAMES, gen, nsims=100, B=19, seed=1)
+        assert gen.calls == 100
 
 
 def full_sweep_rates(names, generator, nsims, alpha, B, seed, ridge=False):
