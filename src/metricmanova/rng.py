@@ -16,6 +16,10 @@ every replicate's entropy in one vectorised pass of uint32 arithmetic (NumPy's
 ``SeedSequence``, after O'Neill's ``seed_seq_fe``), seeds each PCG64 state in
 Python integers (O'Neill 2014, PCG report HMC-CS-2014-0905, ``srandom``), and
 loads each state into one reused ``Generator`` whose ``shuffle`` draws the row.
+The entropy words ``seed`` and ``PERM_STREAM`` are the same for every row, so
+the hash keeps them in Python integers and hashes them once per call; only
+the mixes that meet the replicate word run on arrays.  For a 128-bit seed
+that is the replicate word's four mixes and the eight output hashes.
 The draw itself is NumPy's, so the rows equal the definition's bit for bit.
 """
 
@@ -71,28 +75,42 @@ def _words(x: int) -> List[int]:
     return words
 
 
-def _seed_sequence_states(entropy: List[np.ndarray]) -> List[np.ndarray]:
+def _mul(x, c: int):
+    """x * c mod 2**32 for a Python int or a uint32 array x.  Ints stay ints:
+    arithmetic on numpy uint32 scalars would warn on overflow."""
+    return x * c & _MASK32 if isinstance(x, int) else x * np.uint32(c)
+
+
+def _xorshift16(x):
+    return x ^ (x >> 16)
+
+
+def _seed_sequence_states(entropy: list) -> list:
     """``SeedSequence(e).generate_state(8, uint32)`` for every column e.
 
-    ``entropy`` holds one (m,) uint32 array per entropy word; column i of the
-    stack is one SeedSequence's entropy.  The hash constants evolve the same
-    way for every column, so they stay Python integers.
+    ``entropy`` holds one item per entropy word: a Python int shared by every
+    column, or an (m,) uint32 array; column i of the stack is one
+    SeedSequence's entropy.  Shared words and the hash constants stay Python
+    ints masked to 32 bits until they meet an array, so a shared seed prefix
+    is hashed once per call.
     """
     hash_const = _INIT_A
 
     def hashmix(value):
         nonlocal hash_const
-        value = value ^ np.uint32(hash_const)
+        value = value ^ hash_const
         hash_const = hash_const * _MULT_A & _MASK32
-        value = value * np.uint32(hash_const)
-        return value ^ (value >> np.uint32(16))
+        return _xorshift16(_mul(value, hash_const))
 
     def mix(x, y):
-        result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
-        return result ^ (result >> np.uint32(16))
+        x, y = _mul(x, _MIX_MULT_L), _mul(y, _MIX_MULT_R)
+        if isinstance(x, int) and isinstance(y, int):
+            result = (x - y) & _MASK32
+        else:
+            result = (np.uint32(x) if isinstance(x, int) else x) - y
+        return _xorshift16(result)
 
-    zero = np.zeros_like(entropy[0])
-    pool = [hashmix(entropy[i] if i < len(entropy) else zero) for i in range(_POOL_SIZE)]
+    pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(_POOL_SIZE)]
     for i_src in range(_POOL_SIZE):
         for i_dst in range(_POOL_SIZE):
             if i_src != i_dst:
@@ -104,10 +122,9 @@ def _seed_sequence_states(entropy: List[np.ndarray]) -> List[np.ndarray]:
     hash_const = _INIT_B
     out = []
     for i in range(8):
-        value = pool[i % _POOL_SIZE] ^ np.uint32(hash_const)
+        value = pool[i % _POOL_SIZE] ^ hash_const
         hash_const = hash_const * _MULT_B & _MASK32
-        value = value * np.uint32(hash_const)
-        out.append(value ^ (value >> np.uint32(16)))
+        out.append(_xorshift16(_mul(value, hash_const)))
     return out
 
 
@@ -115,7 +132,7 @@ def _pcg64_states(seed: int, replicates: np.ndarray) -> List[tuple]:
     """PCG64 ``(state, inc)`` of ``PCG64(SeedSequence([seed, PERM_STREAM, b]))``
     for every b of the int64 array ``replicates``."""
     m = replicates.shape[0]
-    prefix = [np.full(m, w, dtype=np.uint32) for w in _words(seed) + [PERM_STREAM]]
+    prefix = _words(seed) + [PERM_STREAM]
     low = (replicates & _MASK32).astype(np.uint32)
     high = (replicates >> 32).astype(np.uint32)
     # SeedSequence makes one entropy word of b < 2**32 and two of larger b
@@ -123,7 +140,7 @@ def _pcg64_states(seed: int, replicates: np.ndarray) -> List[tuple]:
     words = np.empty((8, m), dtype=np.uint64)
     for sel, tail in ((~wide, [low]), (wide, [low, high])):
         if sel.any():
-            words[:, sel] = _seed_sequence_states([w[sel] for w in prefix + tail])
+            words[:, sel] = _seed_sequence_states(prefix + [w[sel] for w in tail])
     # generate_state(4, uint64) pairs the uint32 words little-endian
     w0, w1, w2, w3 = (words[2 * k] | words[2 * k + 1] << np.uint64(32) for k in range(4))
     states = []
@@ -164,12 +181,10 @@ def permuted_labels(
     out[...] = labels
     bitgen = np.random.PCG64(0)
     gen = np.random.Generator(bitgen)
-    for row, (state, inc) in zip(out, _pcg64_states(seed, reps.astype(np.int64))):
-        bitgen.state = {
-            "bit_generator": "PCG64",
-            "state": {"state": state, "inc": inc},
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
+    # one state dict for the call: the setter copies its values
+    pcg = {}
+    state = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
+    for row, (pcg["state"], pcg["inc"]) in zip(out, _pcg64_states(seed, reps.astype(np.int64))):
+        bitgen.state = state
         gen.shuffle(row)
     return out

@@ -13,12 +13,15 @@ Each study is one entry of ``SCENARIO1_STUDIES`` or ``SCENARIO2_STUDIES``
 Generators are ``functools.partial`` objects, so they pickle.
 
 Scenario 2's stream contract: group by group, each tree draws one
-``rng.random(nodes - 2)`` (value t - 2 places node t), then one ``rng.gamma``
-of size ``nodes`` for its covariates.  The weights degree**gamma come from one
-table per group built by numpy's ``power``, not by ``math.pow`` or ``**`` on
-Python floats: on SIMD builds those differ from numpy in the last bit for some
-pairs, and the table equals the per-step ``degrees ** gamma`` of the reference
-walk in ``tests/oracles.py``.
+``rng.random(nodes - 2)`` (value t - 2 places node t), then its ``nodes``
+covariates in node order, the same draws as one ``rng.gamma`` of size
+``nodes``.  The weights degree**gamma come from one table per group built by
+numpy's ``power``, not by ``math.pow`` or ``**`` on Python floats: on SIMD
+builds those differ from numpy in the last bit for some pairs, and the table
+equals the per-step ``degrees ** gamma`` of the reference walk in
+``tests/oracles.py``.  The walk keeps a running list of each node's weight
+and changes one entry per attach, so its running sums add the same floats in
+the same order as the reference's per-step ``cumsum``.
 
 All generators are deterministic functions of their parameters and an integer
 seed; replicate ``k`` of a sweep derives its seed from ``(seed, k)``.
@@ -219,24 +222,30 @@ def _grow_trees(
 
     Node t attaches where ``bisect_right`` (``searchsorted(side="right")``)
     puts u times the total in the running weight sums (``accumulate`` adds
-    left to right, as ``np.cumsum`` does).  Given ``covs``, each tree's
-    covariates are drawn into it before the next tree.  Returns the degrees.
+    left to right, as ``np.cumsum`` does) of each node's ``weight[degree]``.
+    Given ``covs``, each tree's covariates are drawn into it before the next
+    tree.  Returns the degrees.
     """
     count, nodes, _ = laps.shape
     weight = _degree_powers(gamma, nodes)
-    parents = np.empty((count, nodes - 1), dtype=np.intp)
-    degrees = np.empty((count, nodes))
-    for i in range(count):
-        deg, parent = [1, 1], [0]
+    parents, degrees, draws = [], [], []
+    for _ in range(count):
+        deg, w, parent = [1, 1], [weight[1], weight[1]], [0]
         for u in rng.random(nodes - 2).tolist():
-            cum = list(accumulate([weight[d] for d in deg]))
+            cum = list(accumulate(w))
             target = bisect_right(cum, u * cum[-1])
             parent.append(target)
             deg[target] += 1
+            w[target] = weight[deg[target]]
             deg.append(1)
-        parents[i], degrees[i] = parent, deg
+            w.append(weight[1])
+        parents.append(parent)
+        degrees.append(deg)
         if covs is not None:
-            covs[i] = gamma_covariates(degrees[i], nu, rng)
+            draws.append(_gamma_draws(deg, nu, rng))
+    if covs is not None:
+        covs[...] = draws
+    degrees, parents = np.array(degrees, dtype=float), np.array(parents, dtype=np.intp)
     tree, child, node = np.arange(count)[:, None], np.arange(1, nodes), np.arange(nodes)
     laps[tree, parents, child] = laps[tree, child, parents] = -1.0
     laps[:, node, node] = degrees
@@ -274,9 +283,15 @@ def gamma_covariates(
     stream as one array call ``rng.gamma(k * k / nu, nu / k)``, without its
     per-call array handling.
     """
-    nu = float(nu)
     degrees = np.asarray(final_degrees, dtype=float).tolist()
-    return np.array([rng.gamma(d * d / nu, nu / d) for d in degrees], dtype=float)
+    return np.array(_gamma_draws(degrees, nu, rng), dtype=float)
+
+
+def _gamma_draws(degrees: list, nu: float, rng: np.random.Generator) -> list:
+    """``rng.gamma(d * d / nu, nu / d)`` for each degree d, in order.  An int
+    d gives the same floats as float(d) while d * d is exact."""
+    nu = float(nu)
+    return [rng.gamma(d * d / nu, nu / d) for d in degrees]
 
 
 def gen_scenario2(params: Scenario2Params, seed: int) -> GroupedMultiSample:

@@ -5,7 +5,10 @@ helpers use.
 * Scaling one space's distances by c > 0 maps every covariance matrix M to
   D M D with D = diag(1, .., c, .., 1).  AIRM is invariant under that
   congruence (Pennec et al. 2006, IJCV), and correlation matrices do not
-  change at all.
+  change at all.  The matrix log is not: R_LERM's mean and covariance
+  components depend on the units of each space (with one space's distances
+  ×10^k at k = -3, 0, 3, R_mu_LERM reads 0.090334, 0.116872, 0.079169), and
+  R_Euc's scale with them.
 * Group ids only name the groups, so renaming them changes no statistic.
 * Euclidean distances do not see a translation or rotation of the
   coordinates, so neither does any statistic of the seven tests; the
@@ -144,3 +147,21 @@ def test_scaling_distances_keeps_t_fa_and_pillai_d_or_raises(seed, J, k):
             assert np.isfinite(c.statistic) and 0.0 < c.p_value <= 1.0
             if name in ("T_FA", "Pillai_d", "Pillai"):
                 assert c.statistic == pytest.approx(c0.statistic, rel=1e-9)
+
+
+def test_lerm_components_depend_on_units_and_airm_components_do_not():
+    # the 2-D space given as distances in three units: AIRM is invariant
+    # under the congruence D M D a change of units makes, the matrix log is not
+    coords, labels = _points(0, 2)
+    dist = np.linalg.norm(coords[1][:, None] - coords[1][None], axis=2)
+    stats = {}
+    for k in (-3, 0, 3):
+        spaces = [distance_matrix_space("D", dist * 10.0**k), euclidean_space("x", coords[0])]
+        reports = run_tests(R_TESTS, GroupedMultiSample(spaces, labels), B=B, seed=3)
+        stats[k] = {c.name: c.statistic for r in reports for c in r.components}
+    for k in (-3, 3):
+        for name in ("R_mu_AIRM", "R_cov_AIRM", "R_cor_AIRM"):
+            assert stats[k][name] == pytest.approx(stats[0][name], rel=1e-9)
+    mean_lerm = [stats[k]["R_mu_LERM"] for k in (-3, 0, 3)]
+    assert mean_lerm == pytest.approx([0.090334, 0.116872, 0.079169], abs=1e-6)
+    assert stats[3]["R_mu_Euc"] > 1e5 * stats[0]["R_mu_Euc"]

@@ -9,7 +9,13 @@ hash and PCG64 seeding that re-implement NumPy's.
 import numpy as np
 import pytest
 
-from metricmanova.rng import PERM_STREAM, _pcg64_states, permuted_labels, spawn_seed
+from metricmanova.rng import (
+    PERM_STREAM,
+    _pcg64_states,
+    _seed_sequence_states,
+    permuted_labels,
+    spawn_seed,
+)
 
 EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**128 - 1, 2**160 + 5]
 
@@ -50,6 +56,23 @@ def test_wide_replicate_indices_hash_two_words():
     rows = permuted_labels(labels, 5, range(2**32 - 2, 2**32 + 2))
     for row, b in zip(rows, range(2**32 - 2, 2**32 + 2)):
         assert np.array_equal(row, permuted_labels(labels, 5, b))
+
+
+def test_shared_prefix_hash_equals_seed_sequence():
+    # a 6-word entropy split at every point into shared int words and varying
+    # uint32 words: the first varying word lands inside the 4-word initial
+    # pool or after it
+    rng = np.random.default_rng(26)
+    shared = rng.integers(0, 2**32, size=6).tolist()
+    for split in range(6):
+        varying = rng.integers(0, 2**32, size=(6 - split, 9), dtype=np.uint32)
+        got = np.stack(_seed_sequence_states(shared[:split] + list(varying)))
+        for i, column in enumerate(varying.T.tolist()):
+            want = np.random.SeedSequence(shared[:split] + column).generate_state(8, np.uint32)
+            assert got[:, i].tolist() == want.tolist(), (split, i)
+    # one call over a range crossing 2**32 hashes 1- and 2-word indices
+    reps = np.arange(2**32 - 3, 2**32 + 3)
+    _check_states([spawn_seed(4, 1), 2**63 + 5], reps)
 
 
 @pytest.mark.parametrize("reps", [[2**63], [2**64 + 1], np.array([2**63], dtype=np.uint64),

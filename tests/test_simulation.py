@@ -257,6 +257,14 @@ def _oracle_dataset(params, seed):
     return GroupedMultiSample(spaces, labels)
 
 
+def _assert_equals_oracle(params, seed):
+    got = gen_scenario2(params, seed)
+    want = _oracle_dataset(params, seed)
+    for a, b in zip(got.spaces, want.spaces):
+        assert a.coords.tobytes() == b.coords.tobytes()
+    assert got.codes.tobytes() == want.codes.tobytes()
+
+
 class TestScenario2StreamContract:
     """The table-driven tree builder against the per-step numpy definition."""
 
@@ -268,12 +276,15 @@ class TestScenario2StreamContract:
                     study, float(value), nodes=nodes, n1=2, n2=3
                 )
                 for k in range(20):
-                    seed = spawn_seed(study, point, nodes, k)
-                    got = gen_scenario2(params, seed)
-                    want = _oracle_dataset(params, seed)
-                    for a, b in zip(got.spaces, want.spaces):
-                        assert a.coords.tobytes() == b.coords.tobytes()
-                    assert got.codes.tobytes() == want.codes.tobytes()
+                    _assert_equals_oracle(params, spawn_seed(study, point, nodes, k))
+
+    @pytest.mark.parametrize("gamma", [2.5, 50.0])
+    def test_mc_s2_sized_datasets_are_byte_identical_to_the_oracle(self, gamma):
+        # n1 = n2 = 50 as in perfbench's mc_s2; 2.5 is the study-1 null it
+        # runs, and 9**50 makes the running weight sums large but finite
+        params = Scenario2Params(study=1, gamma1=gamma, gamma2=gamma, n1=50, n2=50)
+        for k in range(5):
+            _assert_equals_oracle(params, spawn_seed(int(gamma), k))
 
     def test_weight_table_equals_the_per_step_power(self):
         # a last-bit change in one weight moves an attachment only when a
