@@ -10,6 +10,7 @@ tails against adaptive numeric integration of the densities.
 from __future__ import annotations
 
 import math
+import numbers
 
 _EPS = 1.0e-16
 _FPMIN = 1.0e-300
@@ -138,9 +139,10 @@ def betainc(a: float, b: float, x: float) -> float:
 
 
 def _check_df(df: int, name: str) -> int:
-    if not isinstance(df, (int,)) or isinstance(df, bool) or df < 1:
+    """``df`` as an int; any integral type but bool, NumPy's included."""
+    if not isinstance(df, numbers.Integral) or isinstance(df, bool) or df < 1:
         raise ValueError(f"{name} must be a positive integer, got {df!r}")
-    return df
+    return int(df)
 
 
 def _check_prob(p: float) -> float:
@@ -152,14 +154,14 @@ def _check_prob(p: float) -> float:
 
 def chi2_sf(x: float, df: int) -> float:
     """Upper tail P(chi2_df > x)."""
-    _check_df(df, "df")
+    df = _check_df(df, "df")
     if x <= 0.0:
         return 1.0
     return gammainc_upper(df / 2.0, x / 2.0)
 
 
 def chi2_cdf(x: float, df: int) -> float:
-    _check_df(df, "df")
+    df = _check_df(df, "df")
     if x <= 0.0:
         return 0.0
     return gammainc_lower(df / 2.0, x / 2.0)
@@ -187,23 +189,21 @@ def _upper_quantile(sf, hi: float, p: float, what: str) -> float:
 
 def chi2_upper_quantile(df: int, p: float) -> float:
     """The value q with P(chi2_df > q) = p."""
-    _check_df(df, "df")
+    df = _check_df(df, "df")
     _check_prob(p)
     return _upper_quantile(lambda x: chi2_sf(x, df), max(float(df), 1.0), p, f"df={df}")
 
 
 def f_sf(x: float, df1: int, df2: int) -> float:
     """Upper tail P(F_{df1,df2} > x)."""
-    _check_df(df1, "df1")
-    _check_df(df2, "df2")
+    df1, df2 = _check_df(df1, "df1"), _check_df(df2, "df2")
     if x <= 0.0:
         return 1.0
     return betainc(df2 / 2.0, df1 / 2.0, df2 / (df2 + df1 * x))
 
 
 def f_cdf(x: float, df1: int, df2: int) -> float:
-    _check_df(df1, "df1")
-    _check_df(df2, "df2")
+    df1, df2 = _check_df(df1, "df1"), _check_df(df2, "df2")
     if x <= 0.0:
         return 0.0
     return betainc(df1 / 2.0, df2 / 2.0, df1 * x / (df1 * x + df2))
@@ -211,7 +211,6 @@ def f_cdf(x: float, df1: int, df2: int) -> float:
 
 def f_upper_quantile(df1: int, df2: int, p: float) -> float:
     """The value q with P(F_{df1,df2} > q) = p."""
-    _check_df(df1, "df1")
-    _check_df(df2, "df2")
+    df1, df2 = _check_df(df1, "df1"), _check_df(df2, "df2")
     _check_prob(p)
     return _upper_quantile(lambda x: f_sf(x, df1, df2), 1.0, p, f"df=({df1},{df2})")

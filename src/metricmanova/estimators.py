@@ -44,11 +44,13 @@ def _check_columns(ds: np.ndarray, ds2: np.ndarray, min_n: int) -> Tuple[np.ndar
     return ds, ds2
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def frechet_covariance(ds, ds2, flavor: str = "noncentered") -> float:
     """Fréchet covariance of two aligned distance-to-mean columns.
 
     ``noncentered`` is the mean of entrywise products (always >= 0);
     ``centered`` subtracts the column means first and may be negative.
+    Distances whose products overflow give a non-finite value, not a warning.
     """
     if flavor not in _FLAVORS:
         raise ValueError(f"unknown flavor {flavor!r}; expected one of {_FLAVORS}")
@@ -62,7 +64,8 @@ def frechet_correlation(ds, ds2, flavor: str = "noncentered") -> float:
     """Fréchet correlation of two aligned distance columns.
 
     The non-centered value lies in [0, 1], the centered value in [-1, 1].
-    A column without variation has no correlation and raises
+    A column without variation has no correlation, and columns whose Fréchet
+    covariances overflow have none that can be computed; both raise
     :class:`DegenerateDataError`.
     """
     if flavor not in _FLAVORS:
@@ -72,7 +75,10 @@ def frechet_correlation(ds, ds2, flavor: str = "noncentered") -> float:
     if denom_sq <= 0.0:
         variance = "Fréchet variance" if flavor == "noncentered" else "variance"
         raise DegenerateDataError(f"zero {variance} in a distance column")
-    return float(frechet_covariance(ds, ds2, flavor) / np.sqrt(denom_sq))
+    cov = frechet_covariance(ds, ds2, flavor)
+    if not np.isfinite([cov, denom_sq]).all():
+        raise DegenerateDataError("the Fréchet covariances of the distance columns overflow")
+    return float(cov / np.sqrt(denom_sq))
 
 
 def covariance_matrix(profile) -> SpdMatrix:
@@ -90,7 +96,8 @@ def covariance_matrix(profile) -> SpdMatrix:
     if not np.all(np.isfinite(values)) or np.any(values < 0):
         raise DataError("distance profile entries must be finite and non-negative")
     n = values.shape[0]
-    return SpdMatrix(values.T @ values / n)
+    with np.errstate(over="ignore"):  # SpdMatrix rejects an overflowed entry
+        return SpdMatrix(values.T @ values / n)
 
 
 def _row0(name: str) -> property:

@@ -93,8 +93,8 @@ from .estimators import MomentSet
 from .rng import check_seed, permuted_labels
 from .samples import GroupedMultiSample
 from .spd import (
-    SPD_FLOOR_REL,
     SPD_KINDS,
+    _floor_ok,
     as_spd,
     stack_airm_sq,
     stack_matrix_log,
@@ -189,8 +189,8 @@ def _r_stack(
     group covariances and the L*J group correlations (an invalid one as I).
     Each distance is one (X, Y) index pair into it, so each kind makes one
     kernel call for all three targets.  The ridge repairs AIRM and LERM
-    inputs only.  With LERM requested the stack's logs are taken first, and
-    their validity mask at X is AIRM's floor test on A.
+    inputs only.  With AIRM or LERM requested the stack's logs are taken
+    first; their mask is each matrix's one strict-PD test, AIRM's on A too.
     """
     L, J = mom.counts.shape
     eye = np.eye(pooled_cov.shape[0])
@@ -211,15 +211,13 @@ def _r_stack(
     pair_w = mom.gammas[:, j1] * mom.gammas[:, j2]
     cor_ok = mom.cor_valid.all(axis=1)
     spd = stack_ridge(stack) if ridge else stack
-    if "LERM" in kinds:
+    if "AIRM" in kinds or "LERM" in kinds:
         logs, log_ok = stack_matrix_log(spd)
 
     out: Dict[Tuple[str, str], Tuple[np.ndarray, np.ndarray]] = {}
     for kind in kinds:
         if kind == "AIRM":
-            sq, ok = stack_airm_sq(
-                spd[X], spd[Y], a_ok=log_ok[X] if "LERM" in kinds else None
-            )
+            sq, ok = stack_airm_sq(spd[X], spd[Y], log_ok[X])
             d = np.sqrt(sq)
         else:
             points = logs if kind == "LERM" else stack
@@ -247,7 +245,7 @@ def _pooled_inverse(pooled_cov: np.ndarray) -> np.ndarray:
             raise SingularMatrixError("pooled covariance matrix has a zero variance")
         s = 1.0 / np.sqrt(d)  # in range for every positive float d
         w = np.linalg.eigvalsh(pooled_cov * s[:, None] * s)
-        if w[0] <= SPD_FLOOR_REL * max(float(w[-1]), 0.0):
+        if not _floor_ok(w[0], w[-1]):
             raise SingularMatrixError(
                 f"pooled correlation matrix is singular (eigenvalue {w[0]:.6e})"
             )

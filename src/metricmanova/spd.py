@@ -12,7 +12,9 @@ Distances:
 Operations that need strict positive definiteness raise
 :class:`~metricmanova.errors.SingularMatrixError` when an eigenvalue falls at
 or below ``1e-12`` times the largest eigenvalue, instead of silently
-regularizing; callers may opt into an explicit ridge repair.
+regularizing; callers may opt into an explicit ridge repair.  Each matrix is
+tested once, by the validity mask of :func:`stack_matrix_log`, which the
+scalar API and AIRM read; ``_floor_ok`` alone writes the inequality.
 
 The stacked kernels :func:`stack_airm_sq` and :func:`stack_matrix_log` take
 closed forms for 2x2 matrices, the two-space case, and LAPACK otherwise.  For
@@ -21,10 +23,9 @@ forward substitution, written out entry by entry over the whole stack, so
 C = L^-1 B L^-T is two batched matmuls and one ``eigvalsh`` (Higham 2002,
 Accuracy and Stability of Numerical Algorithms, section 8: a triangular
 inverse is as accurate as the triangular solves it replaces).  Its A-side
-floor test may be handed in as ``a_ok``; the R statistics pass the validity
-mask of the log kernel, which has already taken the eigenvalues of every
-matrix they compare.  A
-symmetric 2x2 matrix has eigenvalues m +- h, m = (a + d)/2 and
+floor test is always handed in as ``a_ok``, the validity mask of the log
+kernel, so AIRM takes no eigenvalues of A and judges A exactly as LERM does.
+A symmetric 2x2 matrix has eigenvalues m +- h, m = (a + d)/2 and
 h = hypot((a - d)/2, b), the smaller taken as det/(m + h) where m - h would
 cancel.  Its log is log(l2)*I + beta*(M - l2*I), beta = log1p(2h/l2)/(2h)
 the divided difference of log (1/l2 at h = 0).  The AIRM distance writes out
@@ -36,7 +37,7 @@ has the table.  Validity and placeholders follow the LAPACK path.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple, Union
+from typing import Sequence, Tuple, Union
 
 import numpy as np
 
@@ -103,12 +104,9 @@ class SpdMatrix:
         return float(self.eigenvalues[-1])
 
     @property
-    def spd_floor(self) -> float:
-        return SPD_FLOOR_REL * max(float(self.eigenvalues[0]), 0.0)
-
-    @property
     def is_strictly_pd(self) -> bool:
-        return self.min_eigenvalue > self.spd_floor
+        """The strict-PD mask :func:`stack_matrix_log` gives this matrix."""
+        return bool(stack_matrix_log(self.entries)[1])
 
     def __repr__(self) -> str:
         return f"SpdMatrix(dim={self.dim}, min_eig={self.min_eigenvalue:.3e})"
@@ -130,19 +128,18 @@ def ridge_repair(A: MatrixLike) -> SpdMatrix:
     return SpdMatrix(stack_ridge(as_spd(A).entries))
 
 
-def _require_strict_pd(spd: SpdMatrix, what: str) -> None:
-    if not spd.is_strictly_pd:
-        raise SingularMatrixError(
-            f"{what}: eigenvalue {spd.min_eigenvalue:.6e} at or below the "
-            f"singularity floor {spd.spd_floor:.6e}"
-        )
+def _strict_pd_logs(stack: np.ndarray, names: Sequence[str]) -> Tuple[np.ndarray, np.ndarray]:
+    """:func:`stack_matrix_log` of items that must all pass its strict-PD mask."""
+    logs, ok = stack_matrix_log(stack)
+    for name, item_ok in zip(names, ok):
+        if not item_ok:
+            raise SingularMatrixError(f"{name}: eigenvalue at or below the singularity floor")
+    return logs, ok
 
 
 def matrix_log(A: MatrixLike) -> np.ndarray:
     """Principal matrix logarithm U diag(log lambda) U^T of an SPD matrix."""
-    spd = as_spd(A)
-    _require_strict_pd(spd, "matrix_log")
-    return stack_matrix_log(spd.entries)[0]
+    return _strict_pd_logs(as_spd(A).entries[None], ("matrix_log",))[0][0]
 
 
 def matrix_exp_sym(A: MatrixLike) -> np.ndarray:
@@ -154,7 +151,7 @@ def matrix_exp_sym(A: MatrixLike) -> np.ndarray:
 def spd_distance(kind: str, A: MatrixLike, B: MatrixLike, *, ridge: bool = False) -> float:
     """Distance between SPD matrices under the Euc, AIRM, or LERM geometry.
 
-    ``ridge=True`` applies :func:`ridge_repair` to both inputs of the
+    ``ridge=True`` applies :func:`stack_ridge` to both inputs of the
     strictly-positive-definite geometries, AIRM and LERM; Euc needs none.
     """
     if kind not in SPD_KINDS:
@@ -164,13 +161,13 @@ def spd_distance(kind: str, A: MatrixLike, B: MatrixLike, *, ridge: bool = False
         raise ValueError(f"dimension mismatch: {sa.dim} vs {sb.dim}")
     if kind == "Euc":
         return float(np.linalg.norm(sa.entries - sb.entries))
+    pair = np.stack([sa.entries, sb.entries])
     if ridge:
-        sa, sb = ridge_repair(sa), ridge_repair(sb)
-    _require_strict_pd(sa, f"{kind} first argument")
-    _require_strict_pd(sb, f"{kind} second argument")
+        pair = stack_ridge(pair)
+    logs, ok = _strict_pd_logs(pair, (f"{kind} first argument", f"{kind} second argument"))
     if kind == "LERM":
-        return float(np.linalg.norm(matrix_log(sa) - matrix_log(sb)))
-    sq, valid = stack_airm_sq(sa.entries, sb.entries)
+        return float(np.linalg.norm(logs[0] - logs[1]))
+    sq, valid = stack_airm_sq(pair[0], pair[1], ok[0])
     if not valid:
         raise SingularMatrixError("AIRM: generalized eigenvalue at or below the singularity floor")
     return float(np.sqrt(sq))
@@ -186,7 +183,7 @@ def spd_distance(kind: str, A: MatrixLike, B: MatrixLike, *, ridge: bool = False
 # eigh, eigvalsh and Cholesky factor, but AIRM inverts the factor by forward
 # substitution in ufuncs over the stack instead of two LU solves per item
 # (per 1503-item 3x3 stack: solve 1.6 ms, cholesky 0.33 ms, matmul 0.11 ms),
-# and reads A's floor test from ``a_ok`` when the caller already has it.
+# and both AIRM kernels read A's floor test from ``a_ok``, the log's mask.
 
 
 def _floor_ok(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -245,7 +242,9 @@ def stack_matrix_log(stack: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return _matrix_log_lapack(stack)
 
 
-def _airm_sq_2x2(A: np.ndarray, B: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+def _airm_sq_2x2(
+    A: np.ndarray, B: np.ndarray, a_ok: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
     # A^-1 B has the eigenvalues mu of C = L^-1 B L^-T, with L = [[sqrt(a), 0],
     # [u*sqrt(a), sqrt(e)]] the Cholesky factor of A, u = b/a and e = d - u*b.
     # log(mu) keeps an absolute error of an ulp of 1, which near A = B, the
@@ -259,7 +258,6 @@ def _airm_sq_2x2(A: np.ndarray, B: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     with np.errstate(all="ignore"):
         p, q, r = B[..., 0, 0], 0.5 * (B[..., 0, 1] + B[..., 1, 0]), B[..., 1, 1]
         dp, dq, dr = p - a, q - b, r - d
-        la1, la2, _ = _sym2_eigvals(a, b, d)
         u = b / a
         e = d - u * b
         f = np.sqrt(a) * np.sqrt(e)
@@ -274,7 +272,7 @@ def _airm_sq_2x2(A: np.ndarray, B: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         near = np.maximum(nu1, -nu2) < 0.5
         g1 = np.where(near, np.log1p(nu1), np.log(mu1))
         g2 = np.where(near, np.log1p(nu2), np.log(mu2))
-        valid = _floor_ok(la2, la1) & _floor_ok(mu2, mu1)
+        valid = a_ok & _floor_ok(mu2, mu1)
         sq = np.where(valid, g1 * g1 + g2 * g2, 0.0)
     return sq, valid
 
@@ -295,11 +293,8 @@ def _lower_inverse(L: np.ndarray) -> np.ndarray:
 
 
 def _airm_sq_lapack(
-    A: np.ndarray, B: np.ndarray, a_ok: Optional[np.ndarray]
+    A: np.ndarray, B: np.ndarray, a_ok: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
-    if a_ok is None:
-        wa = np.linalg.eigvalsh(A)
-        a_ok = _floor_ok(wa[..., 0], wa[..., -1])
     A_safe = np.where(a_ok[..., None, None], A, np.eye(A.shape[-1]))
     T = _lower_inverse(np.linalg.cholesky(A_safe))
     C = T @ B @ np.swapaxes(T, -1, -2)
@@ -311,16 +306,16 @@ def _airm_sq_lapack(
 
 
 def stack_airm_sq(
-    A: np.ndarray, B: np.ndarray, a_ok: Optional[np.ndarray] = None
+    A: np.ndarray, B: np.ndarray, a_ok: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Squared AIRM distances for broadcastable stacks of SPD matrices, with
     validity mask.
 
-    ``a_ok``, A's strict-PD floor test where the caller already has it (the
-    mask :func:`stack_matrix_log` gives for A), spares 3x3 and larger stacks
-    an ``eigvalsh`` of A; the 2x2 closed form ignores it.  Invalid items get a
-    finite placeholder; callers must apply the mask.
+    ``a_ok`` is A's strict-PD test, the mask :func:`stack_matrix_log` gives
+    for A, so AIRM judges A as LERM does; an item is valid when it holds and
+    A^-1 B's eigenvalues clear the same floor.  Invalid items get a finite
+    placeholder; callers must apply the mask.
     """
     if A.shape[-1] == 2:
-        return _airm_sq_2x2(A, B)
+        return _airm_sq_2x2(A, B, a_ok)
     return _airm_sq_lapack(A, B, a_ok)

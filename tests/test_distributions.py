@@ -107,6 +107,33 @@ class TestFDistribution:
         assert abs(tail - 0.01) < 1e-10
 
 
+class TestDegreesOfFreedom:
+    CALLS = (
+        ("chi2_sf", lambda k: chi2_sf(3.0, k)),
+        ("chi2_cdf", lambda k: chi2_cdf(3.0, k)),
+        ("chi2_upper_quantile", lambda k: chi2_upper_quantile(k, 0.05)),
+        ("f_sf", lambda k: f_sf(1.5, k, 7)),
+        ("f_sf df2", lambda k: f_sf(1.5, 3, k)),
+        ("f_cdf", lambda k: f_cdf(1.5, k, k)),
+        ("f_upper_quantile", lambda k: f_upper_quantile(k, k + 5, 0.05)),
+    )
+
+    @pytest.mark.parametrize("name,call", CALLS, ids=[name for name, _ in CALLS])
+    def test_numpy_integers_give_the_int_value(self, name, call):
+        for k in (1, 2, 5):
+            want = call(k)
+            for np_k in (np.int64(k), np.int32(k), np.uint8(k)):
+                got = call(np_k)
+                assert type(got) is float
+                assert got == want
+
+    @pytest.mark.parametrize("name,call", CALLS, ids=[name for name, _ in CALLS])
+    def test_bools_and_floats_raise(self, name, call):
+        for bad in (True, np.bool_(True), 2.0, np.float64(2.0), 0, np.int64(-1)):
+            with pytest.raises(ValueError, match="positive integer"):
+                call(bad)
+
+
 class TestIncompleteFunctions:
     def test_gamma_complementarity(self):
         for a in (0.5, 1.0, 3.7, 20.0):

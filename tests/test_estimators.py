@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from metricmanova.errors import DegenerateDataError
+from metricmanova.errors import DataError, DegenerateDataError
 from metricmanova.estimators import (
     covariance_matrix,
     frechet_correlation,
@@ -90,6 +90,28 @@ class TestFrechetCorrelation:
         rho_c = frechet_correlation(prof[:, 0], prof[:, 1], "centered")
         assert rho_nc > 0.9
         assert rho_c > 0.95
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestOverflowingColumns:
+    # squares of 1e200 overflow; at 1e100 only the product of the two
+    # variances does, which used to read the correlation as 0.0
+    X = np.array([1e200, 1.0, 2.0])
+    Y = np.array([1e200, 2.0, 1.0])
+
+    @pytest.mark.parametrize("flavor", ["noncentered", "centered"])
+    def test_correlation_raises_degenerate(self, flavor):
+        for scale in (1.0, 1e-100):
+            with pytest.raises(DegenerateDataError, match="overflow"):
+                frechet_correlation(scale * self.X, scale * self.Y, flavor)
+
+    def test_covariance_is_inf(self):
+        assert frechet_covariance(self.X, self.Y, "noncentered") == math.inf
+        assert frechet_covariance(self.X, self.Y, "centered") == math.inf
+
+    def test_covariance_matrix_raises_data_error(self):
+        with pytest.raises(DataError, match="non-finite matrix entry"):
+            covariance_matrix(np.column_stack([self.X, self.Y]))
 
 
 class TestCovarianceMatrix:

@@ -31,6 +31,7 @@ from metricmanova.inference import (
 from metricmanova.rng import PERM_STREAM, derive_rng, permuted_labels
 from metricmanova.samples import GroupedMultiSample
 from metricmanova.simulation import scenario_generator
+from metricmanova.spd import SPD_FLOOR_REL
 from metricmanova.spaces import distance_matrix_space, euclidean_space
 
 from oracles import (
@@ -100,6 +101,21 @@ def pillai_d_ms(S: int) -> GroupedMultiSample:
     rng = np.random.default_rng(5)
     spaces = [euclidean_space(f"e{s}", rng.normal(size=(6, 3))) for s in range(S)]
     return GroupedMultiSample(spaces, [1, 1, 1, 2, 2, 2])
+
+
+def three_space_ms() -> GroupedMultiSample:
+    """n = 36 in J = 3 groups of 12, with a distance-matrix space (medoid
+    means) and two Euclidean-L2 spaces: S = 3 takes the LAPACK SPD kernels."""
+    rng = np.random.default_rng(88)
+    pts = rng.normal(size=(36, 3))
+    return GroupedMultiSample(
+        [
+            distance_matrix_space("D", np.abs(pts[:, None] - pts[None]).sum(axis=2)),
+            euclidean_space("e", rng.normal(size=(36, 2))),
+            euclidean_space("x", rng.normal(size=(36, 1))),
+        ],
+        np.repeat([1, 2, 3], 12),
+    )
 
 
 def random_two_group_ms(rng, n1=14, n2=18) -> GroupedMultiSample:
@@ -336,24 +352,50 @@ class TestRStatistic:
     )
     def test_three_spaces_equal_run_tests_statistic_bit_for_bit(self, names):
         # three spaces take the Cholesky-inverse AIRM kernel on 3x3 matrices;
-        # with R_LERM requested, AIRM's floor test on A is the log kernel's
-        # mask, and with R_AIRM alone, as in r_statistic, its own eigvalsh
-        rng = np.random.default_rng(88)
-        pts = rng.normal(size=(36, 3))
-        ms = GroupedMultiSample(
-            [
-                distance_matrix_space("D", np.abs(pts[:, None] - pts[None]).sum(axis=2)),
-                euclidean_space("e", rng.normal(size=(36, 2))),
-                euclidean_space("x", rng.normal(size=(36, 1))),
-            ],
-            np.repeat([1, 2, 3], 12),
-        )
+        # AIRM's floor test on A is the log kernel's mask whether R_LERM is
+        # requested or, as in r_statistic, R_AIRM alone
+        ms = three_space_ms()
         m = moment_set(ms)
         for ridge in (False, True):
             for report in run_tests(list(names), ms, B=19, seed=2, ridge=ridge):
                 kind = report.test_name[2:]
                 for target, component in zip(R_TARGETS, report.components):
                     assert r_statistic(kind, target, m, ridge=ridge) == component.statistic
+
+    def test_airm_alone_judges_as_beside_lerm(self):
+        # S = 3 group covariances within 0.1% of the strict-PD floor, group 2's
+        # 1.5 times group 1's, so A^-1 B = 1.5 I and A decides each cov mask.
+        # R_AIRM reads the log kernel's decision on A whether or not R_LERM
+        # is requested, so both calls give the same bits and masks
+        rng = np.random.default_rng(89)
+        L, S = 1000, 3
+        ratio = SPD_FLOOR_REL * np.exp(rng.uniform(-1e-3, 1e-3, L))
+        eig = np.stack([np.ones(L), np.sqrt(ratio), ratio], -1) * np.exp(rng.uniform(-4, 4, (L, 1)))
+        Q = np.linalg.qr(rng.normal(size=(L, S, S)))[0]
+        A = (Q * eig[:, None, :]) @ np.swapaxes(Q, -1, -2)
+        A = 0.5 * (A + np.swapaxes(A, -1, -2))
+        cov = np.stack([A, 1.5 * A], axis=1)
+        gammas = np.full((L, 2), 0.5)
+        mom = MomentStack(
+            counts=gammas * 100,
+            gammas=gammas,
+            group_cov=cov,
+            weighted_cov=np.einsum("lj,ljst->lst", gammas, cov),
+            col_mean=np.zeros((L, 2, S)),
+            centered_cov=cov,
+            group_cor=np.broadcast_to(np.eye(S), (L, 2, S, S)).copy(),
+            cor_valid=np.ones((L, 2), dtype=bool),
+            moment_var=np.ones((L, 2, S, S)),
+            prod_sqmean=1.0 + cov**2,
+        )
+        alone = inference._r_stack(mom, np.eye(S), ("AIRM",))
+        beside = inference._r_stack(mom, np.eye(S), ("AIRM", "LERM"))
+        for target in R_TARGETS:
+            assert np.array_equal(alone[("AIRM", target)][0], beside[("AIRM", target)][0])
+            assert np.array_equal(alone[("AIRM", target)][1], beside[("AIRM", target)][1])
+        cov_ok = alone[("AIRM", "cov")][1]
+        assert cov_ok.any() and not cov_ok.all()
+        assert np.array_equal(cov_ok, inference.stack_matrix_log(A)[1])
 
 
 class TestPillai:
@@ -910,10 +952,13 @@ class TestRunTest:
         r2 = run_test("R_LERM", ms, B=19, seed=9)
         assert r1 == r2
 
-    def test_run_tests_matches_run_test(self):
-        rng = np.random.default_rng(79)
-        ms = random_two_group_ms(rng)
-        combined = run_tests(["R_Euc", "Pillai", "T_FA"], ms, B=19, seed=6)
+    @pytest.mark.parametrize("spaces", [2, 3])
+    def test_run_tests_matches_run_test(self, spaces):
+        # each test alone reports what it reports among all seven; at S = 3
+        # R_AIRM alone takes the 3x3 log pass that R_LERM shares with it
+        ms = random_two_group_ms(np.random.default_rng(79)) if spaces == 2 else three_space_ms()
+        combined = run_tests(list(TEST_NAMES), ms, B=19, seed=6)
+        assert [report.test_name for report in combined] == list(TEST_NAMES)
         for report in combined:
             alone = run_test(report.test_name, ms, B=19, seed=6)
             assert alone == report

@@ -212,7 +212,7 @@ class TestBatchedPrimitives:
         rng = np.random.default_rng(29)
         A = np.stack([random_spd(rng, 3) for _ in range(10)])
         B = np.stack([random_spd(rng, 3) for _ in range(10)])
-        sq, valid = stack_airm_sq(A, B)
+        sq, valid = stack_airm_sq(A, B, a_ok=stack_matrix_log(A)[1])
         assert valid.all()
         for i in range(10):
             assert np.sqrt(sq[i]) == pytest.approx(
@@ -222,9 +222,9 @@ class TestBatchedPrimitives:
     def test_stack_flags_singular_items(self):
         good = np.eye(2)
         bad = np.diag([1.0, 0.0])
-        logs, valid = stack_matrix_log(np.stack([good, bad]))
-        assert valid.tolist() == [True, False]
-        sq, valid = stack_airm_sq(np.stack([good, bad]), np.stack([good, good]))
+        logs, a_ok = stack_matrix_log(np.stack([good, bad]))
+        assert a_ok.tolist() == [True, False]
+        sq, valid = stack_airm_sq(np.stack([good, bad]), np.stack([good, good]), a_ok=a_ok)
         assert valid.tolist() == [True, False]
 
 
@@ -280,7 +280,7 @@ def _floor_distance(l1, l2):
 def airm_cell_errors(A, B):
     """(closed-form worst error, LAPACK worst error, items compared, items
     whose masks differ away from the floor) of stack_airm_sq on one cell."""
-    sq_c, ok_c = stack_airm_sq(A, B)
+    sq_c, ok_c = stack_airm_sq(A, B, a_ok=stack_matrix_log(A)[1])
     sq_l, ok_l = solve_airm_sq(A, B)
     worst_c = worst_l = 0.0
     compared = mask_diffs = 0
@@ -372,9 +372,9 @@ class TestClosedForms2x2:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             logs, ok_log = stack_matrix_log(bad)
-            sq_ab, ok_ab = stack_airm_sq(bad, good)
-            sq_ba, ok_ba = stack_airm_sq(good, bad)
-            sq_bb, ok_bb = stack_airm_sq(bad, bad)
+            sq_ab, ok_ab = stack_airm_sq(bad, good, a_ok=ok_log)
+            sq_ba, ok_ba = stack_airm_sq(good, bad, a_ok=stack_matrix_log(good)[1])
+            sq_bb, ok_bb = stack_airm_sq(bad, bad, a_ok=ok_log)
         for ok in (ok_log, ok_ab, ok_ba, ok_bb):
             assert not ok.any()
         for values in (logs, sq_ab, sq_ba, sq_bb):
@@ -423,7 +423,7 @@ def _near_floor(eigvals, margin):
 def airm3_cell_errors(A, B):
     """(Cholesky-inverse worst error, solve-based worst error, items compared,
     items whose masks differ away from the floor) of stack_airm_sq."""
-    sq_c, ok_c = stack_airm_sq(A, B)
+    sq_c, ok_c = stack_airm_sq(A, B, a_ok=stack_matrix_log(A)[1])
     sq_l, ok_l = solve_airm_sq(A, B)
     worst_c = worst_l = 0.0
     compared = mask_diffs = 0
@@ -465,17 +465,6 @@ class TestCholeskyInverse3x3:
         assert mask_diffs == 0
         assert worst_c <= 4.0 * worst_l + 1e-14
 
-    def test_shared_floor_test_changes_no_value(self):
-        # the log kernel's mask as A's floor test gives the bits of the
-        # kernel's own eigvalsh test, item for item
-        A, B = grid_cell3(1e6, "random")
-        A[::5] = floor_items(np.random.default_rng(6), FLOOR_RATIOS, 5)[: len(A[::5])]
-        sq, ok = stack_airm_sq(A, B)
-        sq_shared, ok_shared = stack_airm_sq(A, B, a_ok=stack_matrix_log(A)[1])
-        assert ok.any() and not ok.all()
-        both = ok & ok_shared
-        assert np.array_equal(sq[both], sq_shared[both])
-
     def _check_masks(self, masks, eigvals, margin):
         """Each mask agrees with the floor test on the oracle eigenvalues,
         except within ``margin`` of the floor; returns the items checked."""
@@ -502,12 +491,11 @@ class TestCholeskyInverse3x3:
         A = floor_items(rng, FLOOR_RATIOS, 12)
         B = self._congruent(A, rotated3(rng, np.exp(rng.uniform(-1.15, 1.15, (len(A), 3)))))
         logs, ok_log = stack_matrix_log(A)
-        sq, ok_own = stack_airm_sq(A, B)
-        sq_shared, ok_shared = stack_airm_sq(A, B, a_ok=ok_log)
+        sq, ok = stack_airm_sq(A, B, a_ok=ok_log)
         eigvals = [oracle_eigvals_sym(a) for a in A]
-        checked = self._check_masks((ok_log, ok_own, ok_shared), eigvals, _FLOOR_MARGIN * _EPS)
+        checked = self._check_masks((ok_log, ok), eigvals, _FLOOR_MARGIN * _EPS)
         assert checked >= 24  # every item below and above the floor
-        for values in (logs, sq, sq_shared):
+        for values in (logs, sq):
             assert np.isfinite(values).all()
 
     def test_b_side_masks_follow_the_floor(self):
@@ -517,14 +505,81 @@ class TestCholeskyInverse3x3:
         G = floor_items(rng, FLOOR_RATIOS, 12)
         A = rotated3(rng, np.exp(rng.uniform(-1.15, 1.15, (len(G), 3))))
         B = self._congruent(A, G)
-        sq, ok_own = stack_airm_sq(A, B)
-        sq_shared, ok_shared = stack_airm_sq(A, B, a_ok=stack_matrix_log(A)[1])
+        sq, ok = stack_airm_sq(A, B, a_ok=stack_matrix_log(A)[1])
         margin = _FLOOR_MARGIN * _EPS * 10.0
         eigvals = [oracle_generalized_eigvals(a, b) for a, b in zip(A, B)]
-        checked = self._check_masks((ok_own, ok_shared), eigvals, margin)
+        checked = self._check_masks((ok,), eigvals, margin)
         assert checked >= 24
         # LERM's mask is each matrix's own floor test
         ok_log = stack_matrix_log(B)[1]
         checked = self._check_masks((ok_log,), [oracle_eigvals_sym(b) for b in B], _FLOOR_MARGIN * _EPS)
         assert checked >= 24
-        assert np.isfinite(sq).all() and np.isfinite(sq_shared).all()
+        assert np.isfinite(sq).all()
+
+
+# -- one strict-PD decision per matrix ----------------------------------------
+#
+# The scalar API reads the stack kernels' masks, so near the floor, where
+# LAPACK's eigh and the 2x2 closed form can round to opposite sides, every
+# scalar call still agrees with the kernel's decision on the same matrix.
+
+NEAR_FLOOR_RATIOS = SPD_FLOOR_REL * np.exp(np.linspace(-1e-3, 1e-3, 7))
+
+
+def _raises_singular(fn, *args):
+    """Whether ``fn(*args)`` raises SingularMatrixError, and its message."""
+    try:
+        fn(*args)
+    except SingularMatrixError as err:
+        return True, str(err)
+    return False, ""
+
+
+def near_floor_2x2(n):
+    """(n, 2, 2) matrices of random scale and eigenvectors whose eigenvalue
+    ratio lies within 0.1% of the floor."""
+    rng = np.random.default_rng(2026)
+    ratio = SPD_FLOOR_REL * np.exp(rng.uniform(-1e-3, 1e-3, n))
+    scale = np.exp(rng.uniform(-4.0, 4.0, n))
+    return rotated(rng, scale[:, None] * np.stack([np.ones(n), ratio], -1))
+
+
+class TestOneDecisionPerMatrix:
+    # LAPACK puts this matrix's small eigenvalue at 1.0000056e-12, just above
+    # the floor, and the closed form just below; matrix_log used to return
+    # the zero placeholder and the LERM distance to I read 0.0
+    FOUND = np.array([
+        [0.6374277219207505, -0.48074278075423066],
+        [-0.48074278075423066, 0.36257227808024944],
+    ])
+
+    def test_found_matrix_raises_everywhere(self):
+        assert not stack_matrix_log(self.FOUND[None])[1][0]
+        assert not SpdMatrix(self.FOUND).is_strictly_pd
+        with pytest.raises(SingularMatrixError, match="matrix_log"):
+            matrix_log(self.FOUND)
+        for kind in ("LERM", "AIRM"):
+            with pytest.raises(SingularMatrixError, match=f"{kind} first argument"):
+                spd_distance(kind, self.FOUND, np.eye(2))
+            with pytest.raises(SingularMatrixError, match=f"{kind} second argument"):
+                spd_distance(kind, np.eye(2), self.FOUND)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_scalar_calls_read_the_kernel_mask(self, dim):
+        if dim == 2:
+            A = near_floor_2x2(4000)
+        else:
+            A = floor_items(np.random.default_rng(11), NEAR_FLOOR_RATIOS, 100)
+        mask = stack_matrix_log(A)[1]
+        assert mask.any() and not mask.all()
+        eye = np.eye(dim)
+        for a, ok in zip(A, mask):
+            assert SpdMatrix(a).is_strictly_pd == ok
+            assert _raises_singular(matrix_log, a)[0] == (not ok)
+            for kind in ("LERM", "AIRM"):
+                raised, message = _raises_singular(spd_distance, kind, a, eye)
+                # with B = I, A^-1 B shares A's ratio, so a valid A may still
+                # fail AIRM's generalized test; the A side names A alone
+                assert ("first argument" in message) == (not ok)
+                if kind == "LERM":
+                    assert raised == (not ok)
