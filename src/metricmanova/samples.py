@@ -29,6 +29,11 @@ _SYM_TOL = 1.0e-10
 # start OpenBLAS's second thread: eight rows from n = 360, twelve at n = 300
 # (0.38 ms wall, 0.80 ms CPU), one 87-row GEMM at n = 300 (0.21 ms wall,
 # 0.46 ms CPU).  Four rows stay on one thread up to n = 500 at least
+# (120 mask rows: 3.3 ms wall and CPU), but start the second thread from
+# n = 600: 5.2 ms wall and 9.4 ms CPU there, 9.9 ms wall and 19.9 ms CPU at
+# n = 800.  One-row calls stay on one thread at n = 600 but take 14.0 ms.
+# So medoid inputs above about n = 500 pay about twice the CPU; bounding the
+# thread count needs thread control that numpy alone does not give
 _GEMM_ROWS = 4
 
 

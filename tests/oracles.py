@@ -16,6 +16,8 @@ as long as no product overflows (the masks' 0 * inf is NaN).
 ``solve_airm_sq`` is no oracle either: it is the solve-based LAPACK AIRM
 kernel that three or more spaces ran before the Cholesky inverse, kept as the
 reference the accuracy gates of the SPD kernels compare against.
+``oracle_msd_blocks`` reads each number of an ``.msd`` file by itself with
+``float()``, the rule the package's block reader must match bit for bit.
 """
 
 import decimal
@@ -559,3 +561,31 @@ def oracle_scenario2(params, rng):
             laps.append(lap)
             covs.append(oracle_gamma_covariates(k, nu, rng))
     return np.stack(laps), np.stack(covs), np.repeat([1, 2], [params.n1, params.n2])
+
+
+def oracle_msd_blocks(text):
+    """{space id: numbers} of every block of well-formed ``.msd`` text, each
+    token read by itself with ``float()``: a coordinate block's (n, width)
+    rows, a distance block's (n, n) matrix with each token in both triangles
+    and +0.0 on the diagonal."""
+    lines = []
+    for raw in text.splitlines():
+        tokens = raw.split("#", 1)[0].split()
+        if tokens:
+            lines.append(tokens)
+    n = int(lines[1][1])
+    blocks, pos = {}, 4
+    while pos < len(lines):
+        head = lines[pos]
+        pos += 1
+        if head[2] == "distances":
+            mat = [[0.0] * n for _ in range(n)]
+            for i in range(1, n):
+                for j, tok in enumerate(lines[pos]):
+                    mat[i][j] = mat[j][i] = float(tok)
+                pos += 1
+        else:
+            mat = [[float(tok) for tok in lines[pos + r]] for r in range(n)]
+            pos += n
+        blocks[head[1]] = np.array(mat, dtype=float)
+    return blocks

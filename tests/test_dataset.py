@@ -1,5 +1,7 @@
 """Tests for the .msd dataset container."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -22,6 +24,7 @@ from metricmanova.spaces import (
     gaussian_space,
     laplacian_space,
 )
+from oracles import oracle_msd_blocks
 
 
 def assert_same_multisample(a: GroupedMultiSample, b: GroupedMultiSample):
@@ -293,3 +296,228 @@ class TestBlockProperties:
         except DataError:
             return
         loads_msd(text)
+
+
+def _msd_text(n, blocks, sep=" "):
+    """``.msd`` text of ``n`` observations in groups a and b, each block a
+    (header, rows of number tokens) pair, the tokens of a row joined by
+    ``sep``."""
+    lines = ["msd 1", f"observations {n}", f"spaces {len(blocks)}",
+             "labels " + " ".join("ab"[i % 2] for i in range(n))]
+    for head, rows in blocks:
+        lines.append(head)
+        lines += [sep.join(row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def _num(x):
+    return repr(float(x))
+
+
+def _distance_rows(mat, fmt=_num):
+    return [[fmt(v) for v in mat[i, :i]] for i in range(1, len(mat))]
+
+
+def _random_distances(n, seed):
+    x = np.random.default_rng(seed).normal(size=(n, 3))
+    return np.sqrt(((x[:, None] - x[None]) ** 2).sum(axis=2))
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=float).view(np.uint64)
+
+
+def assert_loads_as_oracle(text):
+    """Every block of ``text`` loads to the bits of each token read by
+    ``float()``; a distance block is compared through its constructor, which
+    halves and mirrors the matrix."""
+    expect = oracle_msd_blocks(text)
+    ms = loads_msd(text)
+    for sp in ms.spaces:
+        if sp.kind == "distances":
+            want = distance_matrix_space(sp.space_id, expect[sp.space_id]).pairwise()
+            assert np.array_equal(_bits(sp.pairwise()), _bits(want)), sp.space_id
+        else:
+            assert np.array_equal(_bits(sp.coords), _bits(expect[sp.space_id])), sp.space_id
+
+
+# the whitespace str.split separates on and str.splitlines keeps in one line;
+# the other str.isspace characters end a line
+_INLINE_SPACES = [chr(c) for c in range(0x3001) if chr(c).isspace()
+                  and len(f"1{chr(c)}2".splitlines()) == 1]
+_LINE_ENDS = [chr(c) for c in range(0x3001) if chr(c).isspace()
+              and len(f"1{chr(c)}2".splitlines()) == 2]
+_TOKEN_FORMATS = [_num, "{:.17e}".format, "{:.3g}".format, "{:+.6f}".format]
+
+
+class TestNumberReading:
+    """Numbers load as ``float()`` reads each token, whatever reads the block."""
+
+    def test_extreme_values_load_to_their_bits(self):
+        edge = [0.1 + 0.2, 1 / 3, 5e-324, 1e-323, 1.7e308, -0.0, 0.0, 2.2250738585072014e-308]
+        n = 40  # two chunks of distance rows
+        mat = np.zeros((n, n))
+        for i in range(1, n):
+            for j in range(i):
+                mat[i, j] = mat[j, i] = abs(edge[(i + j) % len(edge)]) if (i + j) % 5 else -0.0
+        coords = np.array([[edge[(r + c) % len(edge)] * (-1) ** c for c in range(4)] for r in range(n)])
+        coords[::7, 0] = -1.7e308
+        lap = np.array([[v, -v, -v, v] for v in (1.7e308, 0.1 + 0.2, -0.0, 5e-324)] * (n // 4))
+        gauss = np.c_[coords[:, 0], np.abs(coords[:, 2]) + 5e-324]
+        text = _msd_text(n, [
+            ("space D distances", _distance_rows(mat)),
+            ("space E euclidean-l2 dim 4", [[_num(v) for v in row] for row in coords]),
+            ("space L laplacian nodes 2", [[_num(v) for v in row] for row in lap]),
+            ("space G gaussian", [[_num(v) for v in row] for row in gauss]),
+        ])
+        assert_loads_as_oracle(text)
+        assert np.signbit(mat).any()
+        assert np.array_equal(np.signbit(loads_msd(text).spaces[0].pairwise()), np.signbit(mat))
+
+    @pytest.mark.parametrize("sep", [s * k for s in _INLINE_SPACES for k in (1, 3)]
+                             + ["".join(_INLINE_SPACES)],
+                             ids=lambda sep: "-".join(f"{ord(c):x}" for c in sep[:3]) + f"x{len(sep)}")
+    def test_every_inline_space_separates_numbers(self, sep):
+        n = 34
+        mat = _random_distances(n, 1)
+        rows = np.random.default_rng(2).normal(size=(n, 3))
+        text = _msd_text(n, [("space D distances", _distance_rows(mat)),
+                             ("space E euclidean-l2 dim 3", [[_num(v) for v in r] for r in rows])], sep)
+        assert_loads_as_oracle(text)
+
+    def test_the_c_reader_splits_fields_only_where_str_split_does(self):
+        # else a row the per-row parser refuses could load through np.loadtxt;
+        # every code point was checked at numpy 2.4.6, these run at the floor too
+        lines = [f"1{chr(c)}2" for c in range(1, 0x3001)
+                 if not chr(c).isspace() and len(f"1{chr(c)}2".splitlines()) == 1]
+        assert np.loadtxt(lines, dtype=str, ndmin=2, comments=None).shape == (len(lines), 1)
+
+    @pytest.mark.parametrize("end", _LINE_ENDS, ids=lambda c: f"{ord(c):x}")
+    def test_a_line_end_between_numbers_splits_the_row(self, end):
+        text = _msd_text(4, [("space G gaussian", [["0.5", "1.5"]] * 4)], end)
+        with pytest.raises(DataError, match=r"^space G: expected 2 numbers, got 1$"):
+            loads_msd(text)
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(
+        n=st.integers(4, 70),
+        width=st.integers(1, 5),
+        seed=st.integers(0, 2**32 - 1),
+        fmt=st.sampled_from(_TOKEN_FORMATS),
+        sep=st.sampled_from([" ", "\t", "  \t ", "\xa0", "　 "]),
+        extremes=st.lists(st.floats(-1e308, 1e308), max_size=8),
+    )
+    def test_random_finite_blocks_load_as_float_reads_them(self, n, width, seed, fmt, sep, extremes):
+        rng = np.random.default_rng(seed)
+        rows = rng.normal(size=(n, width)) * 10.0 ** rng.integers(-300, 300, size=(n, width))
+        rows.flat[rng.integers(0, rows.size, len(extremes))] = extremes
+        mat = _random_distances(n, seed) * 10.0 ** rng.integers(-300, 300)
+        mat[rng.random((n, n)) < 0.1] = 0.0
+        text = _msd_text(n, [("space D distances", _distance_rows(np.minimum(mat, mat.T), fmt)),
+                             (f"space E euclidean-l2 dim {width}", [[fmt(v) for v in r] for r in rows])],
+                         sep)
+        assert_loads_as_oracle(text)
+
+    @pytest.mark.parametrize("token, value", [("1_0", 10.0), ("٣", 3.0), ("٣.5e-1_0", 3.5e-10)])
+    def test_tokens_only_float_reads_load_with_its_value(self, token, value):
+        n = 36
+        mat = _random_distances(n, 3)
+        rows = _distance_rows(mat)
+        rows[33][17] = token
+        coords = [[_num(r), "2.5"] for r in range(n)]
+        coords[n - 1][1] = token
+        text = _msd_text(n, [("space D distances", rows), ("space E euclidean-l2 dim 2", coords)])
+        assert_loads_as_oracle(text)
+        ms = loads_msd(text)
+        assert ms.spaces[0].pairwise()[34, 17] == value
+        assert ms.spaces[1].coords[n - 1, 1] == value
+
+
+class TestReadErrors:
+    """A refused block names its first bad row, as the per-row parser always has."""
+
+    @pytest.mark.parametrize("change, message", [
+        (lambda row: row[:-1], "space D row 21: expected 20 numbers, got 19"),
+        (lambda row: row + ["0.5"], "space D row 21: expected 20 numbers, got 21"),
+    ], ids=["short", "long"])
+    def test_a_distance_row_of_another_length(self, change, message):
+        rows = _distance_rows(_random_distances(40, 4))
+        rows[19] = change(rows[19])
+        with pytest.raises(DataError, match=f"^{message}$"):
+            loads_msd(_msd_text(40, [("space D distances", rows)]))
+
+    def test_distance_rows_all_one_number_long_are_refused(self):
+        # each chunk of the C reader would come back rectangular
+        rows = [row + ["0.5"] for row in _distance_rows(_random_distances(40, 4))]
+        with pytest.raises(DataError, match="^space D row 2: expected 1 numbers, got 2$"):
+            loads_msd(_msd_text(40, [("space D distances", rows)]))
+
+    @pytest.mark.parametrize("head, row", [("space G gaussian", ["0.5", "1.5"]),
+                                           ("space L laplacian nodes 2", ["1.0", "-1.0", "-1.0", "1.0"])])
+    def test_a_bad_token_in_a_coordinate_block(self, head, row):
+        rows = [list(row) for _ in range(12)]
+        rows[7][1] = "1.0.0"
+        rows[9][0] = "nope"
+        with pytest.raises(DataError, match=f"^space {head.split()[1]}: "
+                                            "could not convert string to float: '1.0.0'$"):
+            loads_msd(_msd_text(12, [(head, rows)]))
+
+    def test_a_bad_token_in_a_distance_block(self):
+        rows = _distance_rows(_random_distances(40, 5))
+        rows[35][3] = "0x1p3"
+        with pytest.raises(DataError, match="^space D row 37: could not convert string to float: '0x1p3'$"):
+            loads_msd(_msd_text(40, [("space D distances", rows)]))
+
+    def test_a_block_cut_short_by_the_next_header(self):
+        text = _msd_text(6, [("space G gaussian", [["0.5", "1.5"]] * 5),
+                             ("space E euclidean-l2 dim 1", [["2.0"]] * 6)])
+        with pytest.raises(DataError, match="^space G: expected 2 numbers, got 5$"):
+            loads_msd(text)
+
+    def test_a_distance_block_cut_short_by_the_next_header(self):
+        text = _msd_text(40, [("space D distances", _distance_rows(_random_distances(40, 6))[:-1]),
+                              ("space E euclidean-l2 dim 1", [["2.0"]] * 40)])
+        with pytest.raises(DataError, match="^space D row 40: expected 39 numbers, got 5$"):
+            loads_msd(text)
+
+    @pytest.mark.parametrize("blocks, message", [
+        ([("space D distances", _distance_rows(_random_distances(40, 7))[:-1])],
+         "unexpected end of file: space D needs 39 distance rows"),
+        ([("space G gaussian", [["0.5", "1.5"]] * 39)],
+         "unexpected end of file while reading gaussian row"),
+        ([("space L laplacian nodes 1", [["0.0"]] * 39)],
+         "unexpected end of file while reading laplacian row"),
+    ], ids=["distances", "gaussian", "laplacian"])
+    def test_a_truncated_file(self, blocks, message):
+        with pytest.raises(DataError, match=f"^{message}$"):
+            loads_msd(_msd_text(40, blocks))
+
+    def test_a_truncated_block_with_a_bad_row_names_the_bad_row(self):
+        rows = [["0.5", "1.5"]] * 39
+        rows[3] = ["0.5"]
+        with pytest.raises(DataError, match="^space G: expected 2 numbers, got 1$"):
+            loads_msd(_msd_text(40, [("space G gaussian", rows)]))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("head, rows", [("space D distances", []),
+                                            ("space G gaussian", [["0.5", "1.5"]])])
+    def test_one_observation_is_refused_without_a_warning(self, head, rows):
+        text = "msd 1\nobservations 1\nspaces 1\nlabels a\n" + "\n".join([head] + [" ".join(r) for r in rows])
+        with pytest.raises(DataError, match=r"^every group needs at least 2 observations; too small: \['a'\]$"):
+            loads_msd(text)
+
+
+class TestReadMemory:
+    @pytest.mark.parametrize("n", [600, 1200])
+    def test_distance_block_peak_stays_within_four_times_the_text(self, n):
+        """The reader's chunks of padded rows keep the peak near the text's
+        own size (3.6x with one float() per token); one call over rows all
+        padded to n - 1 numbers reached 5.8x."""
+        text = _msd_text(n, [("space D distances", _distance_rows(_random_distances(n, n)))])
+        tracemalloc.start()
+        try:
+            loads_msd(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * len(text), peak / len(text)
