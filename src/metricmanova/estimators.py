@@ -88,13 +88,12 @@ def covariance_matrix(profile) -> SpdMatrix:
     positive semi-definite by construction and strictly positive definite
     exactly when the profile rows span the whole space.
     """
-    values = profile.values if isinstance(profile, DistanceProfile) else np.asarray(profile, dtype=float)
-    if values.ndim == 1:
-        values = values[None, :]
+    if not isinstance(profile, DistanceProfile):  # which checks the entries
+        values = np.asarray(profile, dtype=float)
+        profile = DistanceProfile(values[None, :] if values.ndim == 1 else values, "pooled")
+    values = profile.values
     if values.size == 0:
         raise ValueError("empty distance profile")
-    if not np.all(np.isfinite(values)) or np.any(values < 0):
-        raise DataError("distance profile entries must be finite and non-negative")
     n = values.shape[0]
     with np.errstate(over="ignore"):  # SpdMatrix rejects an overflowed entry
         return SpdMatrix(values.T @ values / n)

@@ -585,13 +585,9 @@ def run_tests(
     engine = StatEngine(ms)
     pooled_inv = _pooled_inverse(engine.pooled_cov) if "Pillai" in names else None
     tests = {name: _component_names(name, S) for name in names}
+    levels = {name: alpha / len(comp_names) for name, comp_names in tests.items()}
     # the level of each permutation-calibrated component
-    perm_levels = {
-        comp_name: alpha / len(comp_names)
-        for name, comp_names in tests.items()
-        if name in _PERM_TESTS
-        for comp_name in comp_names
-    }
+    perm_levels = {c: levels[name] for name in tests if name in _PERM_TESTS for c in tests[name]}
 
     # the sweep: row 0 is the observed labeling, row b + 1 permutation
     # replicate b; a block's label stack holds at most _CHUNK_BUDGET labels
@@ -637,7 +633,7 @@ def run_tests(
 
     reports = []
     for name, comp_names in tests.items():
-        level = alpha / len(comp_names)
+        level = levels[name]
         threshold = _fa_threshold(J - 1, level) if name == "T_FA" else None
         components = []
         used = []  # valid replicates per permutation-calibrated component

@@ -8,6 +8,12 @@ metric, a user's exact solver, or else the sample medoid, which restricts
 the minimizer to the observed points and is therefore an approximation.
 A :class:`GroupedMultiSample` aligns several spaces observation-by-observation
 and carries the group labels; it is the input to every test in the package.
+
+A :class:`SpaceSample` checks its representation, whatever the kind, raising
+:class:`~metricmanova.errors.DataError`: finite (n, k) rows, k >= 1, and
+distance matrices that are non-negative, zero on the diagonal and pass
+``spd._symmetrized``, which keeps the bits of agreeing pairs and sets each
+pair a, b that differs within 1e-10 of the largest entry to 0.5a + 0.5b.
 """
 
 from __future__ import annotations
@@ -18,9 +24,7 @@ from typing import Any, Callable, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import DataError
-
-# comparison slack used when checking user-supplied distance matrices
-_SYM_TOL = 1.0e-10
+from .spd import _SYM_TOL, _symmetrized
 
 # rows of the mask stack per GEMM call in :func:`_medoid_sums`.  On a 2-core
 # AVX-512 Xeon with OpenBLAS 0.3.31, the sums of one 29-labeling chunk
@@ -85,8 +89,8 @@ class SpaceSample:
             raise ValueError(f"space {self.space_id!r}: points require a distance function")
         if coords is not None:
             coords = np.asarray(coords, dtype=float).view()
-            if coords.ndim != 2:
-                raise ValueError(f"space {self.space_id!r}: coords must be an (n, k) array")
+            if coords.ndim != 2 or coords.shape[1] == 0 or not np.all(np.isfinite(coords)):
+                raise DataError(f"space {self.space_id!r}: coords must be finite (n, k) rows, k >= 1")
             coords.flags.writeable = False
         if distances is not None:
             distances = self._validate_matrix(np.asarray(distances, dtype=float))
@@ -134,24 +138,17 @@ class SpaceSample:
     # -- distances ----------------------------------------------------------
 
     def _validate_matrix(self, mat: np.ndarray) -> np.ndarray:
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise DataError(
-                f"space {self.space_id!r}: distance matrix must be square, "
-                f"got shape {mat.shape}"
-            )
-        if not np.all(np.isfinite(mat)):
-            raise DataError(f"space {self.space_id!r}: non-finite distance")
+        """``_symmetrized(mat)``, where ``mat`` is also non-negative with a zero diagonal."""
+        try:
+            sym = _symmetrized(mat, "distance matrix")
+        except DataError as exc:
+            raise DataError(f"space {self.space_id!r}: {exc}") from None
         if np.any(mat < 0):
             raise DataError(f"space {self.space_id!r}: negative distance")
-        scale = np.max(mat)
-        if np.max(np.abs(mat - mat.T)) > _SYM_TOL * scale:
-            raise DataError(f"space {self.space_id!r}: distance matrix not symmetric")
-        if np.max(np.abs(np.diag(mat))) > _SYM_TOL * scale:
+        if np.max(np.abs(np.diag(mat))) > _SYM_TOL * np.max(mat):
             raise DataError(f"space {self.space_id!r}: distance matrix diagonal not zero")
-        mat = 0.5 * mat  # halved first, so two entries near the largest float sum finitely
-        mat += mat.T
-        np.fill_diagonal(mat, 0.0)
-        return mat
+        np.fill_diagonal(sym, 0.0)
+        return sym
 
     def pairwise(self) -> np.ndarray:
         """Full n-by-n distance matrix, computed once and cached."""
@@ -281,9 +278,10 @@ def _medoids(masks: np.ndarray, squares: np.ndarray) -> np.ndarray:
 def _check_subset(n: int, subset: Optional[Sequence[int]]) -> np.ndarray:
     if subset is None:
         return np.arange(n)
-    idx = np.unique(np.asarray(subset, dtype=int))
-    if idx.size == 0:
-        raise ValueError("subset must be non-empty")
+    idx = np.asarray(subset)
+    if idx.size == 0 or idx.dtype.kind not in "iu":  # never read a mask or floats as indices
+        raise ValueError(f"subset must be one or more integer indices, got {idx.size} {idx.dtype}")
+    idx = np.unique(idx.astype(int))
     if idx[0] < 0 or idx[-1] >= n:
         raise ValueError(f"subset indices out of range [0, {n})")
     return idx

@@ -176,8 +176,6 @@ def _as_gaussian_array(points) -> np.ndarray:
     arr = np.asarray(points, dtype=float)
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise ValueError(f"expected an (n, 2) array of (mu, sigma), got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise DataError("non-finite Gaussian parameters")
     if np.any(arr[:, 1] <= 0):
         raise DataError("all sigmas must be positive")
     return arr
@@ -205,8 +203,6 @@ def _as_coord_array(points) -> np.ndarray:
         arr = arr[:, None]
     if arr.ndim != 2:
         raise ValueError(f"expected an (n, k) coordinate array, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise DataError("non-finite coordinate")
     return arr
 
 
@@ -222,7 +218,7 @@ def euclidean_space(space_id: str, points, norm: str = "L2") -> SpaceSample:
         raise ValueError(f"unknown norm {norm!r}")
     l1 = None
     if norm == "L1" and arr.shape[1] > 1:
-        with np.errstate(over="ignore"):  # an overflowed distance reads inf and fails
+        with np.errstate(all="ignore"):  # SpaceSample refuses what reads inf or nan
             l1 = np.abs(arr[:, None, :] - arr[None, :, :]).sum(axis=2)
     return SpaceSample(
         space_id,

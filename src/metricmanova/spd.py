@@ -45,30 +45,39 @@ from .errors import DataError, SingularMatrixError
 
 SPD_FLOOR_REL = 1.0e-12  # strict-PD floor, relative to the largest eigenvalue
 PSD_TOL_REL = 1.0e-10  # allowed negative rounding for semi-definite carriers
-_SYM_TOL = 1.0e-10
+_SYM_TOL = 1.0e-10  # asymmetry allowed, relative to the largest |entry|
 
 SPD_KINDS = ("Euc", "AIRM", "LERM")
 
 MatrixLike = Union[np.ndarray, "SpdMatrix"]
 
 
-def _check_symmetric(A: np.ndarray) -> np.ndarray:
+def _symmetrized(A: np.ndarray, what: str = "matrix") -> np.ndarray:
+    """The one symmetric-matrix rule, for SPD inputs and distance matrices: an
+    exactly symmetric copy of ``A``, which must be square, finite and symmetric
+    to ``_SYM_TOL`` of its largest |entry| (else a DataError names ``what``).
+    Pairs that agree bit for bit keep their bits; a differing pair a, b becomes
+    0.5a + 0.5b, 0.5(a + b) where the halves are normal, and never overflows."""
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {A.shape}")
+        raise DataError(f"{what} must be square, got shape {A.shape}")
     if not np.all(np.isfinite(A)):
-        raise DataError("non-finite matrix entry")
-    if np.max(np.abs(A - A.T)) > _SYM_TOL * np.max(np.abs(A)):
-        raise ValueError("matrix is not symmetric")
-    return 0.5 * (A + A.T)
+        raise DataError(f"non-finite {what} entry")
+    differ = A.view(np.int64) != A.T.view(np.int64)  # -0.0 against 0.0 becomes 0.0
+    a, b = A[differ], A.T[differ]
+    with np.errstate(over="ignore"):  # an overflowed gap reads inf and fails
+        if np.max(np.abs(a - b), initial=0.0) > _SYM_TOL * max(np.max(A), -np.min(A)):
+            raise DataError(f"{what} not symmetric")
+    out = A.copy()
+    out[differ] = 0.5 * a + 0.5 * b
+    return out
 
 
 def sym_eig(A: MatrixLike) -> Tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (descending) and orthonormal eigenvectors of a symmetric matrix."""
     if isinstance(A, SpdMatrix):
         return A.eigenvalues, A.eigenvectors
-    A = _check_symmetric(A)
-    w, v = np.linalg.eigh(A)
+    w, v = np.linalg.eigh(_symmetrized(A))
     return w[::-1].copy(), v[:, ::-1].copy()
 
 
@@ -84,7 +93,7 @@ class SpdMatrix:
     __slots__ = ("entries", "eigenvalues", "eigenvectors")
 
     def __init__(self, entries: Union[np.ndarray, Sequence]):
-        mat = _check_symmetric(np.asarray(entries, dtype=float))
+        mat = _symmetrized(entries)
         w, v = np.linalg.eigh(mat)
         if w[0] < -PSD_TOL_REL * max(abs(w[0]), abs(w[-1])):
             raise DataError(

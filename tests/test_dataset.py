@@ -62,6 +62,13 @@ class TestRoundTrips:
         back = loads_msd(dumps_msd(ms))
         assert np.allclose(back.spaces[0].pairwise(), dist, atol=1e-15)
 
+    def test_subnormal_distances_round_trip(self):
+        # halving before mirroring wrote 5e-324 back as 0.0 and 1.5e-323 as 2e-323
+        text = _msd_text(4, [("space D distances", [["5e-324"], ["1.5e-323", "1.0"], ["2.0", "3.0", "4.0"]])])
+        back = loads_msd(text)
+        assert back.spaces[0].pairwise()[1:3, 0].tolist() == [5e-324, 1.5e-323]
+        assert "\n5e-324\n1.5e-323 1.0\n" in dumps_msd(back)
+
     def test_l1_space_kind_preserved(self):
         rng = np.random.default_rng(92)
         ms = GroupedMultiSample(
@@ -329,16 +336,12 @@ def _bits(a):
 
 def assert_loads_as_oracle(text):
     """Every block of ``text`` loads to the bits of each token read by
-    ``float()``; a distance block is compared through its constructor, which
-    halves and mirrors the matrix."""
+    ``float()``: a file's distance matrix is exactly symmetric, so its
+    constructor keeps every entry."""
     expect = oracle_msd_blocks(text)
-    ms = loads_msd(text)
-    for sp in ms.spaces:
-        if sp.kind == "distances":
-            want = distance_matrix_space(sp.space_id, expect[sp.space_id]).pairwise()
-            assert np.array_equal(_bits(sp.pairwise()), _bits(want)), sp.space_id
-        else:
-            assert np.array_equal(_bits(sp.coords), _bits(expect[sp.space_id])), sp.space_id
+    for sp in loads_msd(text).spaces:
+        got = sp.pairwise() if sp.kind == "distances" else sp.coords
+        assert np.array_equal(_bits(got), _bits(expect[sp.space_id])), sp.space_id
 
 
 # the whitespace str.split separates on and str.splitlines keeps in one line;

@@ -11,6 +11,7 @@ from metricmanova.rng import permuted_labels
 from metricmanova.samples import (
     DistanceProfile,
     GroupedMultiSample,
+    SpaceSample,
     _clipped_squares,
     _medoid_sums,
     _medoids,
@@ -123,6 +124,17 @@ class TestFrechetMean:
         with pytest.raises(ValueError):
             frechet_mean(space, subset=[])
 
+    def test_non_integer_subsets_are_refused(self):
+        # a mask true at 7..9 read as indices [0, 1], and [7.9, 8.2] as [7, 8]
+        space = euclidean_space("x", np.arange(10.0))
+        res = frechet_mean(space)
+        for subset in (np.arange(10) >= 7, [7.9, 8.2], np.array([7.0, 8.0])):
+            with pytest.raises(ValueError, match="integer indices"):
+                frechet_mean(space, subset)
+            with pytest.raises(ValueError, match="integer indices"):
+                frechet_variance(space, res, subset)
+        assert frechet_mean(space, np.array([7, 8, 9], dtype=np.uint8)).mean.coords == (8.0,)
+
     def test_non_finite_distance_rejected(self):
         with pytest.raises(DataError):
             distance_matrix_space("d", np.array([[0.0, np.inf], [np.inf, 0.0]]))
@@ -164,6 +176,46 @@ class TestCoordinatePairwise:
         got = euclidean_space("E", x).pairwise()
         assert got.tobytes() == want.tobytes()
         assert np.array_equal(got, got.T) and not np.diag(got).any()
+
+
+_BAD_ROWS = r"coords must be finite \(n, k\) rows, k >= 1"
+
+
+class TestRepresentationChecks:
+    """A SpaceSample checks its own representation, whatever builds it."""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_coordinate_rows_are_refused(self, bad):
+        # an inf row gave frechet_mean objective=nan and run_tests a
+        # SingularMatrixError (exit 3) after a RuntimeWarning
+        rows = np.random.default_rng(3).normal(size=(6, 2))
+        rows[4, 1] = bad
+        with pytest.raises(DataError, match=_BAD_ROWS):
+            SpaceSample("x", coords=rows)
+        for norm in ("L2", "L1"):
+            with pytest.raises(DataError, match=_BAD_ROWS):
+                euclidean_space("x", rows, norm)
+        with pytest.raises(DataError, match=_BAD_ROWS):
+            gaussian_space("g", np.c_[rows[:, 1], np.ones(6)])
+
+    @pytest.mark.parametrize("shape", [(6, 0), (6,), (6, 1, 1)])
+    def test_coordinates_must_be_rows_with_a_column(self, shape):
+        # (6, 0) rows crashed run_tests with an IndexError
+        with pytest.raises(DataError, match=_BAD_ROWS):
+            SpaceSample("x", coords=np.zeros(shape))
+
+    def test_subnormal_distances_survive(self):
+        # halving before mirroring read 5e-324 as 0.0 and 1.5e-323 as 2e-323
+        dist = np.array([[0.0, 5e-324, 1.5e-323], [5e-324, 0.0, 1.0], [1.5e-323, 1.0, 0.0]])
+        got = distance_matrix_space("D", dist).pairwise()
+        assert got.tobytes() == dist.tobytes()
+
+    def test_asymmetric_pairs_take_the_mean_of_their_halves(self):
+        dist = np.array([[0.0, 1.0, 3.0], [1.0 + 1e-15, 0.0, 2.0], [3.0, 2.0, 0.0]])
+        got = distance_matrix_space("D", dist).pairwise()
+        assert got[0, 1] == got[1, 0] == 0.5 * 1.0 + 0.5 * (1.0 + 1e-15)
+        assert got[0, 2] == 3.0 and got[1, 2] == 2.0
 
 
 class TestOverflowingSquares:

@@ -11,6 +11,7 @@ from metricmanova.spd import (
     SPD_FLOOR_REL,
     SpdMatrix,
     _matrix_log_lapack,
+    _symmetrized,
     matrix_exp_sym,
     matrix_log,
     ridge_repair,
@@ -114,7 +115,34 @@ class TestSpdMatrix:
             SpdMatrix(-np.eye(2))
         tiny = 1e-12 * np.array([[2.0, 1.0 + 1e-15], [1.0, 2.0]])
         assert SpdMatrix(tiny).is_strictly_pd
+        assert np.array_equal(SpdMatrix(tiny).entries, 0.5 * (tiny + tiny.T))
         assert not SpdMatrix(np.diag([1e-12, -1e-30])).is_strictly_pd
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_entries_near_the_largest_float_stay_finite(self):
+        # 0.5 * (A + A.T) overflowed here, and the Euc distance read nan
+        big = np.diag([1.7e308, 1.0])
+        assert SpdMatrix(big).entries.tolist() == big.tolist()
+        assert spd_distance("Euc", big, np.diag([1.7e308, 2.0])) == 1.0
+
+    def test_symmetrized_is_the_mean_of_both_triangles(self):
+        """Where 0.5 * (A + A.T) and the halves 0.5a, 0.5b are finite and
+        normal, the one symmetric-matrix rule gives its bits: pairs that
+        agree are kept and pairs that differ become 0.5a + 0.5b."""
+        rng = np.random.default_rng(40)
+        tiny = np.finfo(float).tiny
+        for _ in range(2000):
+            dim = int(rng.integers(2, 6))
+            upper = rng.normal(size=(dim, dim)) * 10.0 ** rng.integers(-300, 307)
+            A = upper + upper.T
+            A = np.where(rng.random((dim, dim)) < 0.5, A, A * (1.0 + 4e-11 * rng.uniform(-1, 1)))
+            want = 0.5 * (A + A.T)
+            normal = [np.isfinite(x) & ((np.abs(x) >= 2 * tiny) | (x == 0)) for x in (want, A, A.T)]
+            ok = normal[0] & normal[1] & normal[2]
+            got = _symmetrized(A)
+            assert np.array_equal(got, got.T)
+            assert np.array_equal(got[ok], want[ok])
+            assert np.array_equal(got[A == A.T], A[A == A.T])
 
     def test_allows_semidefinite(self):
         m = SpdMatrix(np.diag([1.0, 0.0]))
