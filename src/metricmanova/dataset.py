@@ -23,12 +23,26 @@ Blank lines and ``#`` comments are ignored, so labels and space ids can
 contain neither whitespace nor ``#``; writing one raises ``DataError``.  All
 numbers are full-precision decimal text.
 
-Each number reads as ``float()`` reads it.  numpy's C text reader
-(``np.loadtxt``, which converts a field with the routine ``float()`` uses)
-reads a coordinate block in one call and a distance block in chunks of rows.
-Where it refuses a block, the per-row parser reads the block again: it
-accepts what ``float()`` accepts beyond the C reader (``1_0``, non-ASCII
-digits), and otherwise names the first bad row.
+Each number reads as ``float()`` reads it, whichever of three readers reads
+its block:
+
+- A distance block is read first by the exact reader (``_exact_numbers``), in
+  chunks of rows.  It takes rows of ``-?D+.D+`` tokens joined by single
+  spaces, each row with its own count, which is how ``dumps_msd`` writes
+  numbers from 1e-4 to 1e16.  It reads each token's digits as one integer M
+  and divides once by 10**k in long double.  Both operands are exact, so the
+  quotient is M / 10**k correctly rounded (Clinger 1990), and rounding it to
+  binary64 gives ``float()``'s correctly rounded result unless the quotient
+  lies exactly on a binary64 midpoint (Figueroa 1995); such tokens are read
+  again by ``float()``.  It declines a block on any other text, and on a
+  platform whose long double lacks a 64- or 113-bit significand.  It skips
+  coordinate blocks: their short tokens read faster in the C reader.
+- numpy's C text reader (``np.loadtxt``, which converts a field with the
+  routine ``float()`` uses) reads a coordinate block in one call and a
+  declined distance block in chunks of rows.
+- Where the C reader refuses a block, the per-row parser reads the block
+  again: it accepts what ``float()`` accepts beyond the C reader (``1_0``,
+  non-ASCII digits), and otherwise names the first bad row.
 """
 
 from __future__ import annotations
@@ -170,6 +184,110 @@ class _LineReader:
         return line
 
 
+def _midpoint_bits() -> Optional[Tuple[np.uint64, np.uint64]]:
+    """(mask, half) such that a normal long double y lies exactly halfway
+    between two binary64 values when the low word of its significand,
+    ``& mask``, equals ``half``: the bits that rounding to binary64 drops.
+    None where long double cannot hold every mantissa M < 10**18 and every
+    10**k, k <= 27, exactly (plain double, ppc64 double-double) or where its
+    words are not laid out as this test reads them."""
+    drop = np.finfo(np.longdouble).nmant - 52  # 11 on x87, 60 on IEEE quad
+    if drop not in (11, 60) or np.dtype(np.longdouble).itemsize != 16:
+        return None
+    mask, half = np.uint64((1 << drop) - 1), np.uint64(1 << (drop - 1))
+    one, tie = np.longdouble(1), np.longdouble(2) ** -53
+    # two midpoints, then one long-double ulp above one, and two binary64 values
+    probe = np.array([one + tie, -one - tie, one + tie + tie * 2.0 ** (1 - drop), one, one + 2 * tie])
+    hits = (probe.view(np.uint64)[0::2] & mask) == half
+    return (mask, half) if hits.tolist() == [True, True, False, False, False] else None
+
+
+_MIDPOINT = _midpoint_bits()
+# 10**k for k = 0..27 by exact products: 10**27 = 2**27 * 5**27 and 5**27 < 2**63
+_POW10 = np.multiply.accumulate(np.r_[1, [10] * 27].astype(np.longdouble))
+_MANTISSA_LIMIT = 10**18  # every M below it fits int64 and the long double significand
+# Distance numbers per chunk of the exact reader.  Its temporaries come to
+# about 155 bytes per number, so 0.6 MB; on an n = 300 block (2-core VM,
+# numpy 2.4.6) chunks of 2k, 4k, 8k and 16k numbers took 5.6, 5.1, 4.8 and
+# 4.7 ms, against 10.3 ms for the C reader's chunks.
+_EXACT_CHUNK = 4096
+
+
+def _exact_numbers(lines: List[str], lo: int) -> Optional[np.ndarray]:
+    """The numbers of distance rows lo, lo + 1, .. (``lines``, row i holding
+    i numbers) with ``float()``'s bits, or None where a row is not i tokens
+    ``-?D+.D+`` joined by single spaces (see the module docstring).  Each
+    token's digits, point and sign removed, are one int64 mantissa M, parsed
+    in one ``np.fromstring`` call; the checks before it let it meet digits
+    only.  Tokens whose long-double quotient is a binary64 midpoint, or with
+    M >= 10**18 (int64 parsing saturates above) or k > 27, are read again by
+    ``float()``."""
+    text = "\n" + "\n".join(lines) + "\n"
+    if _MIDPOINT is None or not text.isascii():
+        return None
+    raw = text.encode("ascii")
+    b = np.frombuffer(raw, dtype=np.uint8)
+    if b.max() > 57 or b"/" in raw:  # at or above b"/" only digits
+        return None
+    marks = np.flatnonzero(b < 47)  # separators, signs and points
+    kind = b[marks]
+    signed = b"-" in raw
+    if signed:
+        sign = kind == 45
+        if (b[marks[sign] - 1] > 32).any():  # a sign starts its token
+            return None
+        marks, kind = marks[~sign], kind[~sign]
+    # a separator before every token and after the last, a point in each
+    seps, dots, sep_kind = marks[0::2], marks[1::2], kind[0::2]
+    if len(seps) != len(dots) + 1 or (kind[1::2] != 46).any():
+        return None
+    newlines = np.flatnonzero(sep_kind == 10)
+    rows = np.arange(lo, lo + len(lines))
+    if (len(newlines) != len(rows) + 1 or newlines[0] != 0
+            or (newlines[1:] != np.cumsum(rows)).any()
+            or np.count_nonzero(sep_kind == 32) != len(seps) - len(newlines)):
+        return None
+    neg = b[seps[:-1] + 1] == 45 if signed else False
+    frac = seps[1:] - dots - 1
+    if (dots - seps[:-1] - 1 - neg < 1).any() or (frac < 1).any():
+        return None
+    digits = raw.replace(b".", b"")
+    if signed:
+        digits = digits.replace(b"-", b"")
+    mantissas = np.fromstring(digits, dtype=np.int64, sep=" ")
+    quotients = mantissas.astype(np.longdouble) / _POW10[np.minimum(frac, len(_POW10) - 1)]
+    out = quotients.astype(float)
+    mask, half = _MIDPOINT
+    redo = ((quotients.view(np.uint64)[0::2] & mask) == half) | (mantissas >= _MANTISSA_LIMIT)
+    redo |= frac >= len(_POW10)
+    if signed:
+        np.negative(out, out=out, where=neg)
+    for t in np.flatnonzero(redo):
+        out[t] = float(raw[seps[t] + 1:seps[t + 1]])
+    return out
+
+
+def _exact_distance_matrix(lines: List[str], n: int) -> Optional[np.ndarray]:
+    """The (n, n) matrix of a distance block's n - 1 row lines read by
+    :func:`_exact_numbers` in chunks of about ``_EXACT_CHUNK`` numbers, or
+    None where it declines a chunk."""
+    mat = np.zeros((n, n), dtype=float)
+    cols = np.arange(n)
+    lo = 1
+    while lo < n:
+        hi, count = lo, 0
+        while hi < n and count < _EXACT_CHUNK:
+            count, hi = count + hi, hi + 1
+        numbers = _exact_numbers(lines[lo - 1:hi - 1], lo)
+        if numbers is None:
+            return None
+        lower = cols < np.arange(lo, hi)[:, None]  # row i's first i entries
+        mat[lo:hi][lower] = numbers
+        mat[:, lo:hi].T[lower] = numbers
+        lo = hi
+    return mat
+
+
 # Rows per np.loadtxt call in a distance block.  Row i holds i numbers and is
 # padded with "0" tokens to the width of its chunk's last row.  On a 2-core VM
 # (numpy 2.4.6) an n = 600 block took 61.7, 61.5, 61.8 and 62.2 ms (medians)
@@ -190,9 +308,13 @@ def _loadtxt(lines: Iterable[str], shape: Tuple[int, int]) -> Optional[np.ndarra
 
 
 def _distance_matrix(lines: List[str], n: int) -> Optional[np.ndarray]:
-    """The (n, n) matrix of a distance block's n - 1 row lines, or None where
-    the C reader refuses a chunk.  A padded row has its chunk's width only if
-    it held its own count of numbers, so the reader still checks each row."""
+    """The (n, n) matrix of a distance block's n - 1 row lines, read by the
+    exact reader or, where it declines, by the C reader; None where the C
+    reader refuses a chunk.  A padded row has its chunk's width only if it
+    held its own count of numbers, so the C reader still checks each row."""
+    mat = _exact_distance_matrix(lines, n)
+    if mat is not None:
+        return mat
     mat = np.zeros((n, n), dtype=float)
     for lo in range(1, n, _DISTANCE_CHUNK):
         hi = min(lo + _DISTANCE_CHUNK, n)

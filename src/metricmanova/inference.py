@@ -260,16 +260,19 @@ def _pillai_stack(weighted_cov: np.ndarray, pooled_inv: np.ndarray) -> np.ndarra
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _pillai_d_stack(mom: MomentStack, n: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Classical one-way Pillai trace tr((H + E)^-1 H) of each labeling's group
-    column means and scatters, and its validity: below its bound min(S, J - 1).
-    A row whose H + E is exactly singular reads NaN."""
-    counts, col_mean = mom.counts, mom.col_mean
+def _pillai_d_stack(
+    mom: MomentStack, n: int, rows: Optional[int] = None
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Classical one-way Pillai trace tr((H + E)^-1 H) of the group column
+    means and scatters of each labeling (of the first ``rows``, else all), and
+    its validity: below its bound min(S, J - 1).  A row whose H + E is exactly
+    singular reads NaN."""
+    counts, col_mean, scatter = mom.counts[:rows], mom.col_mean[:rows], mom.centered_cov[:rows]
     _, J, S = col_mean.shape
     grand = (counts[:, None, :] @ col_mean)[:, 0] / n
     dm = col_mean - grand[:, None, :]
     H = np.einsum("lj,ljs,ljt->lst", counts, dm, dm)
-    total = H + np.einsum("lj,ljst->lst", counts, mom.centered_cov)
+    total = H + np.einsum("lj,ljst->lst", counts, scatter)
     try:
         X = np.linalg.solve(total, H)
     except np.linalg.LinAlgError:
@@ -447,10 +450,12 @@ def _component_table(
     names: Sequence[str],
     pooled_inv: Optional[np.ndarray],
     ridge: bool,
+    observed: bool,
 ) -> Dict[str, Tuple[np.ndarray, np.ndarray]]:
     """(values, validity) per component of the tests ``names`` over the
     labeling stack; ``pooled_inv`` is the pooled inverse when ``Pillai`` is
-    among them."""
+    among them.  ``Pillai_d`` is asymptotic, so it is evaluated on row 0 of the
+    block that holds the observed labeling (``observed``) and nowhere else."""
     table = {}
     kinds = tuple(k for k in SPD_KINDS if f"R_{k}" in names)
     if kinds:
@@ -463,8 +468,8 @@ def _component_table(
     if "Pillai" in names:
         values = _pillai_stack(mom.weighted_cov, pooled_inv)
         table["pillai"] = (values, np.isfinite(values))
-    if "Pillai_d" in names:
-        table["pillai_d"] = _pillai_d_stack(mom, engine.n)
+    if "Pillai_d" in names and observed:
+        table["pillai_d"] = _pillai_d_stack(mom, engine.n, rows=1)
     return table
 
 
@@ -605,7 +610,7 @@ def run_tests(
         first = max(start, 1)
         permuted_labels(ms.codes, seed, range(first - 1, stop - 1), out=codes[first - start:])
         mom = engine.moments(codes)
-        cells = _component_table(mom, engine, names, pooled_inv, ridge)
+        cells = _component_table(mom, engine, names, pooled_inv, ridge, observed=start == 0)
         if start == 0:
             # observed statistics, with strict degeneracy errors
             for comp_name, (values, valid) in cells.items():
@@ -619,9 +624,9 @@ def run_tests(
                         f"component {comp_name}: observed statistic {float(values[0])!r}"
                     )
             table = {c: (np.empty(rows), np.empty(rows, dtype=bool)) for c in cells}
-        for comp_name, (values, valid) in cells.items():
-            table[comp_name][0][start:stop] = values
-            table[comp_name][1][start:stop] = valid
+        for comp_name, (values, valid) in cells.items():  # Pillai_d's one row too
+            table[comp_name][0][start:start + len(values)] = values
+            table[comp_name][1][start:start + len(values)] = valid
         if watch:
             open_counts = _open_counts(table, perm_levels, stop, B)
             if open_counts == []:

@@ -215,9 +215,11 @@ class FrechetMeanResult:
 def _clipped_squares(dist: np.ndarray) -> np.ndarray:
     """Squared distances, clipped at the largest float so that an overflowed
     square never meets a zero mask entry (0 * inf) in :func:`_medoids`.  The
-    overflow is expected, so no warning is raised."""
+    overflow is expected, so no warning is raised.  The square is clipped in
+    place, so the n² array is allocated once."""
     with np.errstate(over="ignore"):
-        return np.minimum(np.square(dist), np.finfo(float).max)
+        squares = np.square(dist)
+    return np.minimum(squares, np.finfo(float).max, out=squares)
 
 
 def _mean_square(d: np.ndarray) -> float:

@@ -54,13 +54,16 @@ MatrixLike = Union[np.ndarray, "SpdMatrix"]
 
 def _symmetrized(A: np.ndarray, what: str = "matrix") -> np.ndarray:
     """The one symmetric-matrix rule, for SPD inputs and distance matrices: an
-    exactly symmetric copy of ``A``, which must be square, finite and symmetric
-    to ``_SYM_TOL`` of its largest |entry| (else a DataError names ``what``).
-    Pairs that agree bit for bit keep their bits; a differing pair a, b becomes
-    0.5a + 0.5b, 0.5(a + b) where the halves are normal, and never overflows."""
+    exactly symmetric copy of ``A``, which must be square, not empty, finite
+    and symmetric to ``_SYM_TOL`` of its largest |entry| (else a DataError
+    names ``what``).  Pairs that agree bit for bit keep their bits; a
+    differing pair a, b becomes 0.5a + 0.5b, 0.5(a + b) where the halves are
+    normal, and never overflows."""
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise DataError(f"{what} must be square, got shape {A.shape}")
+    if A.size == 0:
+        raise DataError(f"{what} is empty, got shape {A.shape}")
     if not np.all(np.isfinite(A)):
         raise DataError(f"non-finite {what} entry")
     differ = A.view(np.int64) != A.T.view(np.int64)  # -0.0 against 0.0 becomes 0.0

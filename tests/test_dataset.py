@@ -1,5 +1,7 @@
 """Tests for the .msd dataset container."""
 
+import re
+import sys
 import tracemalloc
 
 import numpy as np
@@ -8,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from metricmanova import dataset
 from metricmanova.dataset import dumps_msd, load_msd, loads_msd, save_msd
 from metricmanova.errors import DataError
 from metricmanova.samples import GroupedMultiSample, SpaceSample, frechet_mean
@@ -434,6 +437,151 @@ class TestNumberReading:
         ms = loads_msd(text)
         assert ms.spaces[0].pairwise()[34, 17] == value
         assert ms.spaces[1].coords[n - 1, 1] == value
+
+
+def _rows_from(tokens, lo):
+    """``tokens`` as distance rows lo, lo + 1, ..: row i holds i tokens (the
+    last row may be short)."""
+    rows, start, i = [], 0, lo
+    while start < len(tokens):
+        rows.append(" ".join(tokens[start:start + i]))
+        start, i = start + i, i + 1
+    return rows
+
+
+def _exact(tokens, lo=1):
+    """The exact reader's numbers for ``tokens`` laid out as whole rows from
+    row lo, or None where it declines them."""
+    rows = _rows_from(tokens, lo)
+    assert len(rows[-1].split()) == lo + len(rows) - 1, "tokens must fill whole rows"
+    return dataset._exact_numbers(rows, lo)
+
+
+def _assert_exact_reads_as_float(tokens, lo=1):
+    got = _exact(tokens, lo)
+    assert got is not None
+    assert np.array_equal(_bits(got), _bits([float(t) for t in tokens]))
+
+
+# x87 long double rounds each of these to a binary64 midpoint, and rounding
+# that once more to binary64 gives the neighbour of float()'s result
+_DOUBLE_ROUNDING = ["4.021236511310049", "5.87467934733121", "3.515247444886896"]
+
+
+@pytest.mark.skipif(dataset._MIDPOINT is None, reason="long double cannot read decimals exactly here")
+class TestExactReader:
+    """The exact reader gives float()'s bits for every token it accepts, and
+    declines every block it does not, which then loads as it always has."""
+
+    def test_a_million_random_reprs_read_as_float(self):
+        rng = np.random.default_rng(20261021)
+        for lo in range(1000, 1020):  # 20 chunks of 50 rows, 1,001,000 tokens
+            count = 50 * lo + 50 * 49 // 2
+            x = rng.uniform(1.0, 10.0, count) * 10.0 ** rng.integers(-3, 15, count)
+            x[rng.random(count) < 0.5] *= -1.0
+            _assert_exact_reads_as_float([repr(v) for v in x.tolist()], lo)
+
+    def test_tokens_that_round_twice_to_a_midpoint(self):
+        for token in _DOUBLE_ROUNDING:
+            k = len(token.split(".")[1])
+            once = np.longdouble(int(token.replace(".", ""))) / dataset._POW10[k]
+            if dataset._MIDPOINT[1] == 1 << 10:  # x87: plain double rounding misses
+                assert float(once.astype(float)) != float(token)
+        _assert_exact_reads_as_float(_DOUBLE_ROUNDING, 3)
+
+    @pytest.mark.parametrize("token", [
+        "0.0", "-0.0", "0.012129782538332311", "-0.0000123", "0.000000000000000000000000001",
+        "123456789.123456789", "999999999999999999.0", "-1.00000000000000000",
+        "1000000000000000000.0", "1234567890.123456789", "98765432109876543210987.654321",
+        "0.0000000000000000000000000001", "1.0000000000000000000000000001",
+    ], ids=lambda t: t[:24])
+    def test_edge_tokens_read_as_float(self, token):
+        # zeros of both signs; leading zeros, which M does not count; 18-digit
+        # mantissas; M >= 10**18 (int64 parsing saturates) and k > 27, which
+        # float() reads again
+        tokens = [token, "1.5", token, "2.25", token, token]
+        _assert_exact_reads_as_float(tokens, 1)  # bits, so -0.0 keeps its sign
+
+    @pytest.mark.parametrize("token", ["1.5e-3", "1e5", "inf", "nan", "1_0.5", "٣.5", "+1.5", ".5", "5.",
+                                       "--1.5", "1-2.5", "1.2.3", "0x1p3", "12", "1.5/2", "-"])
+    def test_tokens_outside_the_grammar_are_declined(self, token):
+        assert _exact(["1.5", "2.5", token]) is None
+        assert _exact([token, "2.5", "3.5"]) is None
+
+    @pytest.mark.parametrize("rows", [["1.5", "2.5\t3.5"], ["1.5", "2.5  3.5"], ["1.5", "2.5 \u00a03.5"],
+                                      ["1.5", "2.5"], ["1.5", "2.5 3.5 4.5"], ["1.5 2.5", "3.5"]],
+                             ids=["tab", "blank-run", "nbsp", "short", "long", "shifted"])
+    def test_rows_outside_the_layout_are_declined(self, rows):
+        assert dataset._exact_numbers(rows, 1) is None
+
+    @pytest.mark.parametrize("token", ["1.5e-3", "1_0", "٣", "٣.5", "5.", ".5", "+2.5", "1e5"])
+    def test_declined_tokens_load_as_before(self, token):
+        n = 36
+        rows = _distance_rows(_random_distances(n, 8))
+        rows[30][7] = token
+        text = _msd_text(n, [("space D distances", rows)])
+        assert dataset._exact_distance_matrix(_rows_from_text(text), n) is None
+        assert_loads_as_oracle(text)
+
+    @pytest.mark.parametrize("change, message", [
+        (lambda rows: rows[20].pop(), "space D row 22: expected 21 numbers, got 20"),
+        (lambda rows: rows[20].__setitem__(4, "inf"), "space 'D': non-finite distance matrix entry"),
+        (lambda rows: rows[20].__setitem__(4, "1.2.3"), "space D row 22: could not convert string to float: '1.2.3'"),
+    ], ids=["short-row", "inf", "bad-token"])
+    def test_declined_blocks_raise_as_before(self, change, message):
+        rows = _distance_rows(_random_distances(40, 9))
+        change(rows)
+        text = _msd_text(40, [("space D distances", rows)])
+        assert dataset._exact_distance_matrix(_rows_from_text(text), 40) is None
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+            loads_msd(text)
+
+    def test_tabs_and_blank_runs_load_as_before(self):
+        for sep in ("\t", "  "):
+            text = _msd_text(40, [("space D distances", _distance_rows(_random_distances(40, 10)))], sep)
+            assert dataset._exact_distance_matrix(_rows_from_text(text), 40) is None
+            assert_loads_as_oracle(text)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_medoid_shaped_files_load_to_the_same_bits_without_it(self, seed, monkeypatch):
+        text = _medoid_msd(seed)
+        assert dataset._exact_distance_matrix(_rows_from_text(text), 300) is not None
+        exact = [sp.pairwise() for sp in loads_msd(text).spaces[:2]]
+        monkeypatch.setattr(dataset, "_MIDPOINT", None)
+        assert dataset._exact_distance_matrix(_rows_from_text(text), 300) is None
+        plain = [sp.pairwise() for sp in loads_msd(text).spaces[:2]]
+        for a, b in zip(exact, plain):
+            assert np.array_equal(_bits(a), _bits(b))
+        assert_loads_as_oracle(text)
+
+
+def test_long_double_that_can_read_decimals_is_used():
+    # a wrong layout test would silently send every block to the C reader
+    fits = np.finfo(np.longdouble).nmant in (63, 112) and np.dtype(np.longdouble).itemsize == 16
+    assert (dataset._MIDPOINT is not None) == (fits and sys.byteorder == "little")
+
+
+def _rows_from_text(text):
+    """The row lines of the first distance block of ``text``."""
+    lines = text.splitlines()
+    start = next(i for i, line in enumerate(lines) if line.endswith(" distances")) + 1
+    n = int(lines[1].split()[1])
+    return lines[start:start + n - 1]
+
+
+def _medoid_msd(seed):
+    """A file shaped like the benchmark's medoid input: n = 300, J = 3, an L1
+    and a Chebyshev distance block and a 1-D euclidean-l1 block."""
+    rng = np.random.default_rng(seed)
+    n, shift = 300, np.repeat(np.arange(3) * 0.15, 100)
+    u = rng.normal(size=(n, 5)) + shift[:, None]
+    v = rng.normal(size=(n, 4)) * (1.0 + shift[:, None])
+    w = rng.normal(size=(n, 1)) + shift[:, None]
+    return _msd_text(n, [
+        ("space L1 distances", _distance_rows(np.abs(u[:, None] - u[None]).sum(axis=2))),
+        ("space Cheb distances", _distance_rows(np.abs(v[:, None] - v[None]).max(axis=2))),
+        ("space W euclidean-l1 dim 1", [[_num(x)] for x in w[:, 0]]),
+    ])
 
 
 class TestReadErrors:

@@ -1040,6 +1040,58 @@ class TestRunTest:
                 asymptotic, ms, B=19, seed=4
             )
 
+    def test_pillai_d_is_evaluated_on_the_observed_row_alone(self, monkeypatch):
+        # its report reads row 0 only; the sweep layouts of the test above
+        rng = np.random.default_rng(86)
+        pts = rng.normal(size=(30, 3))
+        medoid_ms = GroupedMultiSample(
+            [
+                distance_matrix_space("D", np.abs(pts[:, None] - pts[None]).sum(axis=2)),
+                euclidean_space("e", rng.normal(size=(30, 2))),
+            ],
+            np.repeat([1, 2, 3], 10),
+        )
+        evaluated = []
+        real = inference._pillai_d_stack
+
+        def counting(mom, n, **kw):
+            out = real(mom, n, **kw)
+            evaluated.append(len(out[0]))
+            return out
+
+        for ms in (scenario_generator(1, 2, 2.0, n1=20, n2=20)(5), medoid_ms):
+            for B in (1, 19):
+                runs = []
+                for budget in (1, 10**9):
+                    monkeypatch.setattr(engine, "_CHUNK_BUDGET", budget)
+                    monkeypatch.setattr(inference, "_pillai_d_stack", counting)
+                    evaluated.clear()
+                    runs.append(run_tests(list(TEST_NAMES), ms, B=B, seed=4))
+                    assert evaluated == [1]
+                    monkeypatch.undo()
+                assert runs[0] == runs[1]
+                # row 0 of the whole sweep's stack, as every row was evaluated
+                codes = np.vstack([ms.codes, permuted_labels(ms.codes, 4, range(B))])
+                V, valid = real(StatEngine(ms).moments(codes), ms.n)
+                pillai_d = next(r for r in runs[0] if r.test_name == "Pillai_d").components[0]
+                assert (pillai_d.statistic, valid[0]) == (V[0], True)
+
+    def test_engine_holds_one_square_array_per_distance_space(self):
+        # the clipped squares were a second n * n array beside the squares
+        n = 800
+        pts = np.random.default_rng(87).normal(size=(n, 3))
+        ms = GroupedMultiSample(
+            [distance_matrix_space("D", np.abs(pts[:, None] - pts[None]).sum(axis=2))],
+            np.repeat([0, 1], n // 2),
+        )
+        tracemalloc.start()
+        try:
+            StatEngine(ms)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.3 * 8 * n * n, peak / (8 * n * n)
+
     def test_sweep_rows_equal_scalar_label_stream(self, monkeypatch):
         # row b + 1 of the sweep is replicate b's shuffle, block by block
         ms = scenario_generator(1, 2, 2.0, n1=20, n2=20)(5)

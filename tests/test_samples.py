@@ -142,6 +142,11 @@ class TestFrechetMean:
         with pytest.raises(DataError):
             frechet_mean(space)
 
+    def test_empty_distance_matrix_is_named(self):
+        # numpy's "zero-size array to reduction operation maximum" came out here
+        with pytest.raises(DataError, match=r"^space 'D': distance matrix is empty, got shape \(0, 0\)$"):
+            distance_matrix_space("D", np.zeros((0, 0)))
+
     def test_tolerances_scale_with_tiny_distances(self):
         # the symmetry and zero-diagonal tolerances are relative to the
         # largest distance, not to max(1, largest distance)

@@ -118,6 +118,11 @@ class TestSpdMatrix:
         assert np.array_equal(SpdMatrix(tiny).entries, 0.5 * (tiny + tiny.T))
         assert not SpdMatrix(np.diag([1e-12, -1e-30])).is_strictly_pd
 
+    def test_empty_matrix_is_named(self):
+        # numpy's "zero-size array to reduction operation maximum" came out here
+        with pytest.raises(DataError, match=r"^matrix is empty, got shape \(0, 0\)$"):
+            SpdMatrix(np.zeros((0, 0)))
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_entries_near_the_largest_float_stay_finite(self):
         # 0.5 * (A + A.T) overflowed here, and the Euc distance read nan
