@@ -53,6 +53,7 @@ import numpy as np
 
 import metricmanova as mm
 from metricmanova.distributions import chi2_upper_quantile
+from metricmanova.spd import _airm_sq_lapack, _matrix_log_lapack
 from test_simulation import tfa_null_reports, tfa_null_rejections
 from test_spd import (
     B_KINDS,
@@ -62,6 +63,7 @@ from test_spd import (
     airm_cell_errors,
     grid_cell,
     grid_cell3,
+    log3_cell_errors,
     log_cell_errors,
 )
 
@@ -148,11 +150,22 @@ def cmd_euc_signal(args) -> None:
 
 def cmd_kernel_accuracy(args) -> None:
     if args.dim == 3:
-        print("| kappa(A) | B | Cholesky inverse | solve-based | items | masks differing |")
+        # the Cholesky-inverse column is the LAPACK kernel of five or more
+        # spaces, with its A-side floor test from eigh, as three spaces ran it
+        print("| kappa(A) | B | Jacobi | Cholesky inverse | solve-based | items | masks differing |")
+        print("|---|---|---|---|---|---|---|")
+        for kappa in KAPPAS:
+            for b_kind in B_KINDS:
+                A, B = grid_cell3(kappa, b_kind, args.items)
+                errs = airm3_cell_errors(A, B)
+                chol = airm3_cell_errors(A, B, _matrix_log_lapack, _airm_sq_lapack)[0]
+                print(f"| {kappa} | {b_kind} | {errs[0]:.1e} | {chol:.1e} | {errs[1]:.1e} | {errs[2]} | {errs[3]} |")
+        print()
+        print("| kappa(A) | B | Jacobi log | eigh log | items | masks differing |")
         print("|---|---|---|---|---|---|")
         for kappa in KAPPAS:
             for b_kind in B_KINDS:
-                errs = airm3_cell_errors(*grid_cell3(kappa, b_kind, args.items))
+                errs = log3_cell_errors(np.concatenate(grid_cell3(kappa, b_kind, args.items)))
                 print(f"| {kappa} | {b_kind} | {errs[0]:.1e} | {errs[1]:.1e} | {errs[2]} | {errs[3]} |")
         return
     print("| kappa(A) | B | closed form | LAPACK | items | masks differing |")

@@ -17,27 +17,36 @@ tested once, by the validity mask of :func:`stack_matrix_log`, which the
 scalar API and AIRM read; ``_floor_ok`` alone writes the inequality.
 
 The stacked kernels :func:`stack_airm_sq` and :func:`stack_matrix_log` take
-closed forms for 2x2 matrices, the two-space case, and LAPACK otherwise.  For
-3x3 and larger, AIRM takes LAPACK's Cholesky factor L of A and inverts it by
-forward substitution, written out entry by entry over the whole stack, so
-C = L^-1 B L^-T is two batched matmuls and one ``eigvalsh`` (Higham 2002,
-Accuracy and Stability of Numerical Algorithms, section 8: a triangular
-inverse is as accurate as the triangular solves it replaces).  Its A-side
-floor test is always handed in as ``a_ok``, the validity mask of the log
-kernel, so AIRM takes no eigenvalues of A and judges A exactly as LERM does.
+closed forms for 2x2 matrices, the two-space case, entry-wise Jacobi kernels
+for 3x3 and 4x4, and LAPACK for larger matrices.  The Jacobi kernels keep
+each unique entry, and each eigenvector entry, as one array over the whole
+stack and apply cyclic Jacobi rotations to all items at once (Golub & Van
+Loan 2013, Matrix Computations, section 8.5), so no matrix is handed to
+LAPACK on its own; Jacobi is at least as accurate as QR-based solvers
+(Demmel & Veselic 1992, SIAM J. Matrix Anal. Appl. 13:1204).  The log
+rebuilds V diag(log lambda) V^T entry by entry.  AIRM writes out A's
+Cholesky factor L, its inverse by forward substitution and
+C = L^-1 B L^-T, and takes C's eigenvalues by the same rotations.  Larger
+matrices take LAPACK's Cholesky factor, the same forward substitution, two
+batched matmuls and one ``eigvalsh`` (Higham 2002, Accuracy and Stability
+of Numerical Algorithms, section 8: a triangular inverse is as accurate as
+the triangular solves it replaces).  AIRM's A-side floor test is always
+handed in as ``a_ok``, the validity mask of the log kernel, so AIRM takes no
+eigenvalues of A and judges A exactly as LERM does.
 A symmetric 2x2 matrix has eigenvalues m +- h, m = (a + d)/2 and
 h = hypot((a - d)/2, b), the smaller taken as det/(m + h) where m - h would
 cancel.  Its log is log(l2)*I + beta*(M - l2*I), beta = log1p(2h/l2)/(2h)
 the divided difference of log (1/l2 at h = 0).  The AIRM distance writes out
 A's Cholesky factor L and the eigenvalues mu of L^-1 B L^-T in scalars; near
 A = B it takes log1p of the eigenvalues of L^-1 (B - A) L^-T.  Both agree
-with a 50-digit oracle at least as well as LAPACK does; ``notes/decisions.md``
-has the table.  Validity and placeholders follow the LAPACK path.
+with a 50-digit oracle at least as well as LAPACK does, as do the Jacobi
+kernels; ``notes/decisions.md`` has the tables.  Validity and placeholders
+follow the LAPACK path.
 """
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple, Union
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -46,6 +55,9 @@ from .errors import DataError, SingularMatrixError
 SPD_FLOOR_REL = 1.0e-12  # strict-PD floor, relative to the largest eigenvalue
 PSD_TOL_REL = 1.0e-10  # allowed negative rounding for semi-definite carriers
 _SYM_TOL = 1.0e-10  # asymmetry allowed, relative to the largest |entry|
+_EPS = float(np.finfo(float).eps)
+_JACOBI_MAX_DIM = 4  # larger stacks take LAPACK's eigh and eigvalsh
+_JACOBI_SWEEPS = 10  # cap; cli_medoid's 3x3 stacks settle in 4, random 4x4 ones in 5
 
 SPD_KINDS = ("Euc", "AIRM", "LERM")
 
@@ -187,15 +199,20 @@ def spd_distance(kind: str, A: MatrixLike, B: MatrixLike, *, ridge: bool = False
 
 # -- batched primitives used by the permutation engine -----------------------
 #
-# Two metric spaces give 2x2 matrices, where numpy's batched LAPACK calls cost
-# more in per-matrix dispatch than in arithmetic, so both kernels branch on
-# shape[-1] == 2 to the scalar closed forms below.  Their floating-point
-# exceptions are silenced: a NaN, inf, singular or indefinite item fails the
-# validity test and gets a zero placeholder.  Larger matrices keep LAPACK's
-# eigh, eigvalsh and Cholesky factor, but AIRM inverts the factor by forward
-# substitution in ufuncs over the stack instead of two LU solves per item
-# (per 1503-item 3x3 stack: solve 1.6 ms, cholesky 0.33 ms, matmul 0.11 ms),
-# and both AIRM kernels read A's floor test from ``a_ok``, the log's mask.
+# On these small matrices numpy's batched LAPACK calls cost more in
+# per-matrix dispatch than in arithmetic, so both kernels branch on
+# shape[-1]: 2 to the scalar closed forms below, 3 and 4 to the Jacobi
+# kernels, whose every ufunc call covers the whole stack.  On a 2-core x86 VM
+# (numpy 2.4), per 3053-item 3x3 stack, the size of a cli_medoid block, the
+# log took 2.2 ms against 4.3 ms for eigh, and AIRM 1.2 ms against 6.4 ms
+# for LAPACK's Cholesky factor, forward substitution and eigvalsh; per
+# 1500-item 4x4 stack 4.0 against 5.5 ms and 3.1 against 4.5 ms; at 5x5
+# the Jacobi log was the slower, 9.4 against 8.0 ms.  Floating-point
+# exceptions are silenced: a NaN, inf, singular or indefinite item fails
+# the validity test and gets a zero placeholder.  Larger matrices keep
+# LAPACK's eigh, eigvalsh and Cholesky factor, with the factor inverted by
+# the same forward substitution instead of two LU solves per item, and
+# every AIRM kernel reads A's floor test from ``a_ok``, the log's mask.
 
 
 def _floor_ok(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -244,6 +261,84 @@ def _matrix_log_lapack(stack: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return logs, valid
 
 
+def _jacobi(d: list, o: dict, v: Optional[list] = None) -> list:
+    """Eigenvalues of a symmetric stack held entry by entry, by cyclic Jacobi
+    rotations over the whole stack (Golub & Van Loan 2013, section 8.5).
+
+    ``d`` holds the dim diagonal (N,) arrays and ``o`` the off-diagonal ones
+    keyed (p, q), p < q; ``v``, when given, the eigenvector columns as
+    (dim, N) arrays, starting from I.  All are rotated in place, and the
+    returned ``d`` holds the eigenvalues, unordered.  An item stops rotating
+    once each |a_pq| is at most eps (|a_pp| + |a_qq|) after a sweep, so its
+    result does not depend on the rest of the stack.  An item whose a_pq is 0
+    skips that rotation, so the identity, where theta = 0/0, never rotates,
+    and a NaN or infinite item stops after a sweep or two; the sweep cap
+    bounds the rest."""
+    dim = len(d)
+    pairs = [(p, q) for p in range(dim) for q in range(p + 1, dim)]
+    zero = np.zeros(np.shape(d[0]))
+    active = True
+    for _ in range(_JACOBI_SWEEPS):
+        for p, q in pairs:
+            app, aqq, apq = d[p], d[q], o[p, q]
+            # t = tan of the rotation angle, the root of t^2 + 2 theta t = 1
+            # of smaller modulus; theta^2 may overflow, which gives t = 0
+            theta = (aqq - app) / (apq + apq)
+            t = np.copysign(1.0 / (np.abs(theta) + np.sqrt(theta * theta + 1.0)), theta)
+            t = np.where((apq != 0.0) & active, t, 0.0)
+            c = 1.0 / np.sqrt(t * t + 1.0)
+            s = t * c
+            tapq = t * apq
+            d[p], d[q], o[p, q] = app - tapq, aqq + tapq, zero
+            for r in range(dim):
+                if r != p and r != q:
+                    rp, rq = (min(r, p), max(r, p)), (min(r, q), max(r, q))
+                    arp, arq = o[rp], o[rq]
+                    o[rp], o[rq] = c * arp - s * arq, s * arp + c * arq
+            if v is not None:
+                vp, vq = v[p], v[q]
+                v[p], v[q] = c * vp - s * vq, s * vp + c * vq
+        mag = [np.abs(x) for x in d]
+        active = np.logical_or.reduce(
+            [np.abs(o[p, q]) > _EPS * (mag[p] + mag[q]) for p, q in pairs]
+        )
+        if not np.any(active):
+            break
+    return d
+
+
+def _extremes(w: list) -> Tuple[np.ndarray, np.ndarray]:
+    return np.minimum.reduce(w), np.maximum.reduce(w)
+
+
+def _dot(xs: list, ys: list) -> np.ndarray:
+    """sum_k xs[k] * ys[k] over stacks of entries, added left to right."""
+    acc = xs[0] * ys[0]
+    for x, y in zip(xs[1:], ys[1:]):
+        acc = acc + x * y
+    return acc
+
+
+def _matrix_log_jacobi(stack: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    # log M = V diag(log w) V^T, entry by entry over the stack
+    dim = stack.shape[-1]
+    d = [stack[..., i, i] for i in range(dim)]
+    o = {(p, q): stack[..., q, p] for p in range(dim) for q in range(p + 1, dim)}
+    v = list(np.multiply.outer(np.eye(dim), np.ones(stack.shape[:-2])))
+    with np.errstate(all="ignore"):
+        w = _jacobi(d, o, v)
+        valid = _floor_ok(*_extremes(w))
+        scaled = [np.log(w[k]) * v[k] for k in range(dim)]
+        logs = np.empty(stack.shape)
+        for i in range(dim):
+            for j in range(i + 1):
+                logs[..., i, j] = logs[..., j, i] = _dot(
+                    [x[i] for x in scaled], [x[j] for x in v]
+                )
+    logs[~valid] = 0.0
+    return logs, valid
+
+
 def stack_matrix_log(stack: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Matrix logs of a symmetric stack plus a strict-PD validity mask.
 
@@ -251,6 +346,8 @@ def stack_matrix_log(stack: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """
     if stack.shape[-1] == 2:
         return _matrix_log_2x2(stack)
+    if stack.shape[-1] <= _JACOBI_MAX_DIM:
+        return _matrix_log_jacobi(stack)
     return _matrix_log_lapack(stack)
 
 
@@ -289,32 +386,66 @@ def _airm_sq_2x2(
     return sq, valid
 
 
-def _lower_inverse(L: np.ndarray) -> np.ndarray:
-    """Inverses of a stack of lower-triangular factors by forward substitution,
-    one ufunc call per entry and term over the whole stack."""
-    dim = L.shape[-1]
-    T = np.zeros(L.shape)
+def _lower_inverse(L: dict, dim: int) -> dict:
+    """Inverses of a stack of lower-triangular factors held entry by entry,
+    keyed (i, j), j <= i, by forward substitution over the whole stack."""
+    T = {}
     for i in range(dim):
-        T[..., i, i] = 1.0 / L[..., i, i]
+        T[i, i] = 1.0 / L[i, i]
         for j in range(i):
-            acc = L[..., i, j] * T[..., j, j]
+            acc = L[i, j] * T[j, j]
             for k in range(j + 1, i):
-                acc += L[..., i, k] * T[..., k, j]
-            T[..., i, j] = -acc / L[..., i, i]
+                acc += L[i, k] * T[k, j]
+            T[i, j] = -acc / L[i, i]
     return T
 
 
 def _airm_sq_lapack(
     A: np.ndarray, B: np.ndarray, a_ok: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
-    A_safe = np.where(a_ok[..., None, None], A, np.eye(A.shape[-1]))
-    T = _lower_inverse(np.linalg.cholesky(A_safe))
+    dim = A.shape[-1]
+    A_safe = np.where(a_ok[..., None, None], A, np.eye(dim))
+    L = np.linalg.cholesky(A_safe)
+    T = np.zeros(L.shape)
+    entries = {(i, j): L[..., i, j] for i in range(dim) for j in range(i + 1)}
+    for (i, j), t in _lower_inverse(entries, dim).items():
+        T[..., i, j] = t
     C = T @ B @ np.swapaxes(T, -1, -2)
     C = 0.5 * (C + np.swapaxes(C, -1, -2))
     w = np.linalg.eigvalsh(C)
     valid = a_ok & _floor_ok(w[..., 0], w[..., -1])
     logs = np.log(np.where(w > 0, w, 1.0))
     return np.sum(logs * logs, axis=-1), valid
+
+
+def _airm_sq_jacobi(
+    A: np.ndarray, B: np.ndarray, a_ok: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    # A^-1 B has the eigenvalues of C = T B T^T, T = L^-1 the inverse of A's
+    # Cholesky factor L.  L, T and C are written out entry by entry over the
+    # stack, and C's eigenvalues come from the Jacobi rotations
+    dim = A.shape[-1]
+    lower = [(i, j) for i in range(dim) for j in range(i + 1)]
+    with np.errstate(all="ignore"):
+        L: dict = {}
+        b: dict = {}
+        for i, j in lower:
+            acc = A[..., i, j]
+            for k in range(j):
+                acc = acc - L[i, k] * L[j, k]
+            L[i, j] = np.sqrt(acc) if i == j else acc / L[j, j]
+            b[i, j] = b[j, i] = 0.5 * (B[..., i, j] + B[..., j, i])
+        T = _lower_inverse(L, dim)
+        # (T B)[i, l] for l <= i, and C[i, j] = sum_l (T B)[i, l] T[j, l]
+        TB = {(i, l): _dot([T[i, k] for k in range(i + 1)], [b[k, l] for k in range(i + 1)])
+              for i, l in lower}
+        C = {(i, j): _dot([TB[i, l] for l in range(j + 1)], [T[j, l] for l in range(j + 1)])
+             for i, j in lower}
+        w = _jacobi([C[i, i] for i in range(dim)],
+                    {(j, i): C[i, j] for i, j in lower if i != j})
+        valid = a_ok & _floor_ok(*_extremes(w))
+        sq = sum(np.log(x) ** 2 for x in w)
+    return np.where(valid, sq, 0.0), valid
 
 
 def stack_airm_sq(
@@ -330,4 +461,6 @@ def stack_airm_sq(
     """
     if A.shape[-1] == 2:
         return _airm_sq_2x2(A, B, a_ok)
+    if A.shape[-1] <= _JACOBI_MAX_DIM:
+        return _airm_sq_jacobi(A, B, a_ok)
     return _airm_sq_lapack(A, B, a_ok)

@@ -397,13 +397,15 @@ def _dec_matrix(M):
     return [[decimal.Decimal(float(M[max(i, j)][min(i, j)])) for j in range(n)] for i in range(n)]
 
 
-def _dec_jacobi_eigvals(M):
-    """Eigenvalues, descending, of a symmetric Decimal matrix by cyclic Jacobi
-    rotations (Golub & Van Loan, Matrix Computations, section 8.5), run until
-    no off-diagonal entry exceeds 1e-48 of the largest entry: by Weyl's
-    inequality no eigenvalue is then off by more than that much of the norm."""
+def _dec_jacobi(M):
+    """Eigenvalues and eigenvector columns V (rows of Decimals) of a symmetric
+    Decimal matrix by cyclic Jacobi rotations (Golub & Van Loan, Matrix
+    Computations, section 8.5), run until no off-diagonal entry exceeds 1e-48
+    of the largest entry: by Weyl's inequality no eigenvalue is then off by
+    more than that much of the norm."""
     n = len(M)
     M = [row[:] for row in M]
+    V = [[decimal.Decimal(int(i == j)) for j in range(n)] for i in range(n)]
     tol = decimal.Decimal("1e-48") * max(abs(x) for row in M for x in row)
     for _ in range(50):  # sweeps; convergence is quadratic
         if max((abs(M[p][q]) for p in range(n) for q in range(p + 1, n)), default=0) <= tol:
@@ -422,7 +424,14 @@ def _dec_jacobi_eigvals(M):
                 for k in range(n):
                     M[p][k], M[q][k] = c * M[p][k] - s * M[q][k], s * M[p][k] + c * M[q][k]
                 M[p][q] = M[q][p] = decimal.Decimal(0)
-    return sorted((M[i][i] for i in range(n)), reverse=True)
+                for k in range(n):
+                    V[k][p], V[k][q] = c * V[k][p] - s * V[k][q], s * V[k][p] + c * V[k][q]
+    return [M[i][i] for i in range(n)], V
+
+
+def _dec_jacobi_eigvals(M):
+    """Eigenvalues, descending, of a symmetric Decimal matrix by ``_dec_jacobi``."""
+    return sorted(_dec_jacobi(M)[0], reverse=True)
 
 
 def _dec_generalized_eigvals(A, B):
@@ -455,6 +464,17 @@ def oracle_eigvals_sym(M):
     """Eigenvalues, descending, of a symmetric matrix at 50 digits, rounded once."""
     with decimal.localcontext(_DIGITS50):
         return [float(x) for x in _dec_jacobi_eigvals(_dec_matrix(M))]
+
+
+def oracle_matrix_log(M):
+    """Principal log V diag(log lambda) V^T of an SPD matrix of any size, at
+    50 digits by ``_dec_jacobi``, rounded once."""
+    with decimal.localcontext(_DIGITS50):
+        lam, V = _dec_jacobi(_dec_matrix(M))
+        g = [x.ln() for x in lam]
+        n = len(lam)
+        return np.array([[float(sum(g[k] * V[i][k] * V[j][k] for k in range(n))) for j in range(n)]
+                         for i in range(n)])
 
 
 def oracle_generalized_eigvals(A, B):

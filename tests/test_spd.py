@@ -28,6 +28,7 @@ from oracles import (
     oracle_eigvals_sym,
     oracle_generalized_eigvals,
     oracle_generalized_eigvals_2x2,
+    oracle_matrix_log,
     oracle_matrix_log_2x2,
     oracle_spd_distance,
     solve_airm_sq,
@@ -232,7 +233,7 @@ class TestSpdDistances:
 class TestBatchedPrimitives:
     # the scalar helpers are views of these kernels, so they are checked
     # against scipy rather than against the scalar path; the 3x3 stacks here
-    # take the LAPACK path, the 2x2 closed forms are TestClosedForms2x2
+    # take the Jacobi kernels, the 2x2 closed forms are TestClosedForms2x2
     def test_stack_matrix_log_matches_scipy_logm(self):
         rng = np.random.default_rng(28)
         mats = np.stack([random_spd(rng, 3) for _ in range(10)])
@@ -415,13 +416,15 @@ class TestClosedForms2x2:
         assert ok_log.tolist() == _matrix_log_lapack(bad)[1].tolist()
 
 
-# -- the 3x3 kernel against a 50-digit oracle ---------------------------------
+# -- the 3x3 kernels against a 50-digit oracle --------------------------------
 #
-# Three or more spaces take LAPACK's Cholesky factor of A, inverted by forward
-# substitution.  The same grid as above, with A's middle eigenvalue drawn
-# log-uniformly between its extremes, gates it against the solve-based LAPACK
-# kernel it replaced (``oracles.solve_airm_sq``).  The reference eigenvalues
-# come from 50-digit Jacobi rotations (``oracles.oracle_airm_sq``).
+# Three spaces write out A's Cholesky factor and its inverse entry by entry
+# and take the eigenvalues of C = L^-1 B L^-T, and the logs, by batched
+# Jacobi rotations.  The same grid as above, with A's middle eigenvalue drawn
+# log-uniformly between its extremes, gates AIRM against the solve-based
+# LAPACK kernel (``oracles.solve_airm_sq``) and the log against LAPACK's eigh
+# (``spd._matrix_log_lapack``).  The reference eigenvalues and logs come from
+# 50-digit Jacobi rotations (``oracles.oracle_airm_sq``, ``oracle_matrix_log``).
 
 
 def rotated3(rng, eig):
@@ -453,10 +456,11 @@ def _near_floor(eigvals, margin):
     return _floor_distance(eigvals[0], eigvals[-1]) <= margin
 
 
-def airm3_cell_errors(A, B):
-    """(Cholesky-inverse worst error, solve-based worst error, items compared,
-    items whose masks differ away from the floor) of stack_airm_sq."""
-    sq_c, ok_c = stack_airm_sq(A, B, a_ok=stack_matrix_log(A)[1])
+def airm3_cell_errors(A, B, log=stack_matrix_log, airm=stack_airm_sq):
+    """(worst error, solve-based worst error, items compared, items whose
+    masks differ away from the floor) of ``airm``, by default stack_airm_sq,
+    with A's floor test from ``log``."""
+    sq_c, ok_c = airm(A, B, a_ok=log(A)[1])
     sq_l, ok_l = solve_airm_sq(A, B)
     worst_c = worst_l = 0.0
     compared = mask_diffs = 0
@@ -472,6 +476,24 @@ def airm3_cell_errors(A, B):
             want = oracle_airm_sq(A[i], B[i])
             worst_c = max(worst_c, abs(sq_c[i] - want) / want)
             worst_l = max(worst_l, abs(sq_l[i] - want) / want)
+            compared += 1
+    return worst_c, worst_l, compared, mask_diffs
+
+
+def log3_cell_errors(stack):
+    """``log_cell_errors`` for 3x3 stacks: the Jacobi log against eigh's."""
+    logs_c, ok_c = stack_matrix_log(stack)
+    logs_l, ok_l = _matrix_log_lapack(stack)
+    worst_c = worst_l = 0.0
+    compared = mask_diffs = 0
+    for i in range(len(stack)):
+        if ok_c[i] != ok_l[i] and not _near_floor(oracle_eigvals_sym(stack[i]), _FLOOR_MARGIN * _EPS):
+            mask_diffs += 1
+        if ok_c[i] and ok_l[i]:
+            want = oracle_matrix_log(stack[i])
+            norm = np.linalg.norm(want)
+            worst_c = max(worst_c, np.linalg.norm(logs_c[i] - want) / norm)
+            worst_l = max(worst_l, np.linalg.norm(logs_l[i] - want) / norm)
             compared += 1
     return worst_c, worst_l, compared, mask_diffs
 
@@ -548,6 +570,95 @@ class TestCholeskyInverse3x3:
         checked = self._check_masks((ok_log,), [oracle_eigvals_sym(b) for b in B], _FLOOR_MARGIN * _EPS)
         assert checked >= 24
         assert np.isfinite(sq).all()
+
+
+class TestJacobi3x3:
+    @pytest.mark.parametrize("b_kind", B_KINDS)
+    @pytest.mark.parametrize("kappa", KAPPAS)
+    def test_matrix_log_within_eigh_error(self, kappa, b_kind):
+        worst_c, worst_l, compared, mask_diffs = log3_cell_errors(
+            np.concatenate(grid_cell3(kappa, b_kind))
+        )
+        assert compared > 0
+        assert mask_diffs == 0
+        assert worst_c <= 4.0 * worst_l + 1e-14
+
+    GOOD = np.array([[2.0, 0.5, 0.0], [0.5, 1.0, 0.2], [0.0, 0.2, 1.5]])
+
+    @staticmethod
+    def _bad_items():
+        nan, inf = np.nan, np.inf
+        tri = np.array([[2.0, 1.0, 0.0], [1.0, 2.0, 1.0], [0.0, 1.0, 2.0]])
+        items = [
+            np.diag([nan, 1.0, 1.0]),
+            [[1.0, nan, 0.0], [nan, 1.0, 0.0], [0.0, 0.0, 1.0]],
+            np.diag([inf, 1.0, 1.0]),
+            np.diag([-inf, 1.0, 1.0]),
+            np.full((3, 3), inf),
+            [[1.0, inf, 0.0], [inf, 1.0, 0.0], [0.0, 0.0, 1.0]],
+            np.zeros((3, 3)),
+            np.diag([1.0, 1.0, 0.0]),  # singular
+            np.ones((3, 3)),  # singular, eigenvalues 3, 0, 0
+            np.diag([1.0, -1.0, 1.0]),  # indefinite
+            [[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]],  # indefinite, zero diagonal
+            -np.eye(3),  # negative definite
+            np.diag([1.0, 1.0, 1e-13]),  # below the strict-PD floor
+            np.eye(3),  # theta = 0/0 in every rotation
+            np.diag([3.0, 2.0, 1.0]),
+            [[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]],  # eigenvalues 4, 1, 1
+            [[2.0, -1.0, 0.0], [-1.0, 2.0, 0.0], [0.0, 0.0, 3.0]],  # eigenvalues 3, 3, 1
+            1e300 * tri,
+            1e-300 * tri,
+            np.diag([1e300, 1.0, 1e-300]),  # below the floor
+        ]
+        return np.array(items, dtype=float)
+
+    @staticmethod
+    def _floor(eigvals):
+        return eigvals[-1] > SPD_FLOOR_REL * max(eigvals[0], 0.0)
+
+    def test_items_do_not_depend_on_the_stack(self):
+        # an item stops rotating once its own off-diagonal entries are
+        # negligible, so alone it gives the bits it gives in any stack
+        A, B = grid_cell3(1e3, "random")
+        bad = self._bad_items()
+        A = np.concatenate([A, bad])
+        B = np.concatenate([B, np.broadcast_to(self.GOOD, bad.shape)])
+        logs, ok = stack_matrix_log(A)
+        sq, ok_sq = stack_airm_sq(A, B, a_ok=ok)
+        for i in range(len(A)):
+            logs_i, ok_i = stack_matrix_log(A[i:i + 1])
+            sq_i, ok_sq_i = stack_airm_sq(A[i:i + 1], B[i:i + 1], a_ok=ok_i)
+            assert np.array_equal(logs_i[0], logs[i]) and ok_i[0] == ok[i], i
+            assert sq_i[0] == sq[i] and ok_sq_i[0] == ok_sq[i], i
+
+    def test_bad_items_are_invalid_with_finite_placeholders(self):
+        """Each mask is the floor test on the oracle's eigenvalues (False for
+        a non-finite item), every placeholder is finite, and nothing warns."""
+        bad = self._bad_items()
+        good = np.broadcast_to(self.GOOD, bad.shape)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            logs, ok_log = stack_matrix_log(bad)
+            sq_ab, ok_ab = stack_airm_sq(bad, good, a_ok=ok_log)
+            sq_ba, ok_ba = stack_airm_sq(good, bad, a_ok=stack_matrix_log(good)[1])
+            sq_bb, ok_bb = stack_airm_sq(bad, bad, a_ok=ok_log)
+        finite = np.isfinite(bad).all(axis=(1, 2))
+        want_log = [f and self._floor(oracle_eigvals_sym(m)) for f, m in zip(finite, bad)]
+        assert ok_log.tolist() == want_log
+        assert 0 < sum(want_log) < len(bad)
+
+        def want_airm(a_side, A, B):  # ``finite`` is that of the bad side
+            return [
+                w and f and self._floor(oracle_generalized_eigvals(a, b))
+                for w, f, a, b in zip(a_side, finite, A, B)
+            ]
+
+        assert ok_ab.tolist() == want_airm(want_log, bad, good)
+        assert ok_ba.tolist() == want_airm([True] * len(bad), good, bad)
+        assert ok_bb.tolist() == want_log  # A^-1 A = I
+        for values in (logs, sq_ab, sq_ba, sq_bb):
+            assert np.isfinite(values).all()
 
 
 # -- one strict-PD decision per matrix ----------------------------------------
