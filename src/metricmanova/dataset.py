@@ -169,8 +169,11 @@ class _LineReader:
     def __init__(self, text: str):
         self.lines: List[str] = []
         self.numbers: List[int] = []
-        for number, raw in enumerate(text.splitlines(), 1):
-            line = raw.split("#", 1)[0].strip()
+        raws = text.splitlines()
+        if "#" in text:  # one scan spares every line of a file without comments its split
+            raws = [raw.split("#", 1)[0] for raw in raws]
+        for number, raw in enumerate(raws, 1):
+            line = raw.strip()
             if line:
                 self.lines.append(line)
                 self.numbers.append(number)

@@ -12,12 +12,15 @@ both kinds of mean: with the coordinates of an L2-embedded space
 centroids, and with the squared distance matrix of any other space each
 candidate's objective; the medoid is the lowest-index member within
 2(n_j - 1)·eps·min of the group's least objective, whatever the summation
-order.  Only that pick leaves the medoid kernel, so its sums run in four-row
-GEMM blocks over the (labelings * groups, n) mask rows, on one BLAS thread
-and faster than one three-row GEMM per labeling, and non-members get an
-additive +inf.  The centroid sums keep one GEMM per labeling: their bits
-reach the statistics, and four-row blocks moved them.  Only spaces with a
-user-supplied exact-mean solver keep a loop over labelings and groups.
+order.  Only that pick leaves the medoid kernel, so its sums run over the
+(labelings * groups, n) mask rows in GEMM calls of as many rows r as keep
+r·n² within OpenBLAS's one-thread small-matrix bound (8 at n = 300, 4 from
+n = 354), faster than one three-row GEMM per labeling, and non-members get
+an additive +inf.  One pass serves every medoid space of a sub-chunk: the
+masks' +inf penalty, the tie slack and the sums buffer are built once.  The
+centroid sums keep one GEMM per labeling: their bits reach the statistics,
+and four-row blocks moved them.  Only spaces with a user-supplied exact-mean
+solver keep a loop over labelings and groups.
 ``moments`` takes two lengths from one budget.  It computes the profiles in
 sub-chunks of labelings small enough that each kernel's temporaries, the
 (labelings, n, k) differences at the widest, stay resident in a core's L2
@@ -43,15 +46,18 @@ moves over long axes.  A gather takes one flat row index per observation,
 ``labeling * J + group``, into the (L * J, ...) stack of group means or
 medoids, and a medoid distance is one flat index into the distance matrix.
 ``group_profiles`` fills one contiguous (L, n) column per space.  ``moments``
-sums every column, the S profiles, their S(S+1)/2 unique pair products and
-the products' squares, with one ``np.bincount`` over that flat index, which
-also counts each group's members.  bincount adds each observation to its bin
-in index order, so every group sum adds its members one at a time in
-observation order.  That order defines the bits of every statistic, and with
-them the continuous T_FA and Pillai_d p-values.  An overflowed product stays
-inf in its own group's sum.  The norm einsum and ``masks @ X`` keep their
-operand layout and chunking; for one- and two-dimensional embeddings the
-squared norm is the einsum's arithmetic spelt out in ufuncs.
+transposes each block's columns once to (n, L), observation-major, and sums
+every column, the S profiles, their S(S+1)/2 unique pair products and the
+products' squares, with one ``np.bincount`` over that flat index in the same
+layout, which also counts each group's members.  bincount adds each entry
+to its bin in index order, so every group sum adds its members one at a time
+in observation order, and consecutive adds land in different labelings'
+bins rather than chaining through a labeling's two or three.  That order
+defines the bits of every statistic, and with them the continuous T_FA and
+Pillai_d p-values.  An overflowed product stays inf in its own group's sum.
+The norm einsum and ``masks @ X`` keep their operand layout and chunking;
+for one- and two-dimensional embeddings the squared norm is the einsum's
+arithmetic spelt out in ufuncs.
 
 Everything here is deterministic: summations run in fixed index order and no
 state is mutated after construction.
@@ -84,8 +90,8 @@ _CHUNK_BUDGET = 131_072
 
 
 def _group_means(flat: np.ndarray, col: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """(c, J) group means of a (c, n) column; bincount adds each observation to
-    its bin ``flat`` (labeling * J + group) in index order."""
+    """(c, J) group means of an (n, c) column; bincount adds each entry to its
+    bin ``flat`` (labeling * J + group, laid out like ``col``) in index order."""
     sums = np.bincount(flat, weights=col.ravel(), minlength=counts.size)
     return sums.reshape(counts.shape) / counts
 
@@ -163,6 +169,9 @@ class StatEngine:
         flat = np.arange(L)[:, None] * self.J + codes
         if out is None:
             out = np.empty((self.S, L, n), dtype=float)
+        # every medoid space's picks in one pass over the shared masks
+        medoid_squares = [sq for sq in self._squares if sq is not None]
+        picks = iter(_medoids(masks, counts, medoid_squares) if medoid_squares else ())
         for s, (sp, X) in enumerate(zip(self.ms.spaces, self._embeddings)):
             if X is not None:
                 means = (masks @ X) / counts[:, :, None]
@@ -183,7 +192,7 @@ class StatEngine:
                         out[s, l, idx] = sp.distances_to(sp.mean_of(idx), idx)
             else:
                 # observation i's entry of pairwise() lies at i * n + its medoid
-                at = np.take(_medoids(masks, self._squares[s]), flat)
+                at = np.take(next(picks), flat)
                 at += np.arange(0, n * n, n)
                 out[s] = np.take(sp.pairwise(), at)
         return out.transpose(1, 2, 0)
@@ -218,8 +227,10 @@ class StatEngine:
             for sub in range(0, rows, q):
                 end = min(sub + q, rows)
                 self.group_profiles(c[sub:end], out=profiles[:, sub:end])
-            p = profiles[:, :rows]
-            flat = (np.arange(rows)[:, None] * J + c).ravel()
+            # observation-major: consecutive adds land in different labelings'
+            # bins, and each bin still adds its members in observation order
+            p = np.ascontiguousarray(profiles[:, :rows].transpose(0, 2, 1))
+            flat = (np.arange(rows) * J + c.T).ravel()
             sl = slice(start, start + rows)
             counts[sl] = cnt = np.bincount(flat, minlength=rows * J).reshape(rows, J)
             for s in range(S):
@@ -229,8 +240,8 @@ class StatEngine:
                 group_cov[sl, :, a, b] = group_cov[sl, :, b, a] = _group_means(flat, prod, cnt)
                 sq = _group_means(flat, prod * prod, cnt)
                 prod_sqmean[sl, :, a, b] = prod_sqmean[sl, :, b, a] = sq
-            # free this block's products before the next block's profiles
-            del prod
+            # free this block's columns and products before the next block's profiles
+            del p, prod
 
         gammas = counts / float(n)
         centered_cov = group_cov - col_mean[:, :, :, None] * col_mean[:, :, None, :]

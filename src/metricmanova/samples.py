@@ -19,26 +19,41 @@ pair a, b that differs within 1e-10 of the largest entry to 0.5a + 0.5b.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Optional, Sequence, Tuple
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import DataError
 from .spd import _SYM_TOL, _symmetrized
 
-# rows of the mask stack per GEMM call in :func:`_medoid_sums`.  On a 2-core
-# AVX-512 Xeon with OpenBLAS 0.3.31, the sums of one 29-labeling chunk
-# (J = 3, n = 300) took 0.43-0.50 ms in four-row calls against 0.61-0.97 ms
-# as one three-row GEMM per labeling, with bit-identical sums.  Taller calls
-# start OpenBLAS's second thread: eight rows from n = 360, twelve at n = 300
-# (0.38 ms wall, 0.80 ms CPU), one 87-row GEMM at n = 300 (0.21 ms wall,
-# 0.46 ms CPU).  Four rows stay on one thread up to n = 500 at least
-# (120 mask rows: 3.3 ms wall and CPU), but start the second thread from
-# n = 600: 5.2 ms wall and 9.4 ms CPU there, 9.9 ms wall and 19.9 ms CPU at
-# n = 800.  One-row calls stay on one thread at n = 600 but take 14.0 ms.
-# So medoid inputs above about n = 500 pay about twice the CPU; bounding the
-# thread count needs thread control that numpy alone does not give
-_GEMM_ROWS = 4
+# OpenBLAS runs a GEMM of at most 10**6 multiply-adds on one thread, in its
+# small-matrix kernel, and starts its other threads above that (0.3.31 on a
+# 2-core AVX-512 Xeon).  The sums of 87 mask rows (one 29-labeling chunk,
+# J = 3) in calls of 4, 8, 16 and 32 rows, each shape in a fresh process,
+# since ``time.process_time`` also counts an OpenBLAS thread still spinning
+# after an earlier threaded call, took in ms of wall time:
+#   n =  60: 0.065  0.038  0.026  0.027      n = 250: 0.30  0.34  0.33  [0.24]
+#   n = 120: 0.150  0.105  0.081  0.076      n = 300: 0.60  0.49  [0.57]
+#   n = 176: 0.235  0.186  0.125  0.122      n = 350: 0.73  0.68  [0.65]
+#   n = 200: 0.191  0.189  0.167  [0.185]    n = 360: 0.79  [1.04]
+# with CPU equal to wall, but for the bracketed calls past the bound, which
+# ran both threads at about twice the CPU of wall.  Four rows at n = 500
+# (exactly 10**6) took 1.91 ms on one thread, eight 1.28 ms wall and 2.59 ms
+# CPU.  Above n = 500 even four rows thread (5.2 ms wall and 9.4 ms CPU at
+# n = 600), yet one-row calls took 14.0 ms there, so four rows stay; bounding
+# the thread count needs thread control that numpy alone does not give
+_SMALL_GEMM = 1_000_000
+
+
+def _gemm_rows(n: int) -> int:
+    """Mask rows per GEMM call in :func:`_medoid_sums` at n observations:
+    the largest 4·2^k with rows·n² <= ``_SMALL_GEMM``, and 4 above n = 500,
+    where even four rows exceed it: 8 at n = 300, 16 at n <= 250, 32 at
+    n <= 176."""
+    rows = 4
+    while 2 * rows * n * n <= _SMALL_GEMM:
+        rows *= 2
+    return rows
 
 
 class SpaceSample:
@@ -228,53 +243,63 @@ def _mean_square(d: np.ndarray) -> float:
         return float(np.mean(d * d))
 
 
-def _medoid_sums(masks: np.ndarray, squares: np.ndarray) -> np.ndarray:
-    """(L, J, n) group sums ``masks @ squares`` of an (L, J, n) stack of 0/1
-    masks: each member's sum of ``squares`` over its group, capped at the
-    largest float, and +inf for every non-member.
+def _medoid_sums(
+    rows: np.ndarray, squares: np.ndarray, penalty: np.ndarray, out: np.ndarray
+) -> None:
+    """Write into ``out`` the (m, n) group sums ``rows @ squares`` of an
+    (m, n) stack of 0/1 mask rows: each member's sum of ``squares`` over its
+    group, capped at the largest float, plus ``penalty`` (1/mask − 1: 0 for
+    a member, +inf for a non-member).
 
-    The L·J mask rows are multiplied ``_GEMM_ROWS`` at a time into one
-    preallocated array; the last call takes the final ``_GEMM_ROWS`` rows,
-    overlapping the one before it, because a one-row product runs as a GEMV
-    whose sums differ from a GEMM row's in the last bits.  Non-members get an
-    additive penalty, 1/mask − 1: 0 for a member, +inf for a non-member.
+    The rows are multiplied ``_gemm_rows(n)`` at a time; the last call takes
+    the final rows, overlapping the one before it, because a one-row product
+    runs as a GEMV whose sums differ from a GEMM row's in the last bits.
     Sums that overflow are expected and capped, so no warning is raised."""
-    L, J, n = masks.shape
-    rows = masks.reshape(L * J, n)
-    sums = np.empty((L * J, n), dtype=float)
-    last = max(L * J - _GEMM_ROWS, 0)
-    with np.errstate(over="ignore", divide="ignore"):
-        for start in range(0, L * J, _GEMM_ROWS):
-            block = slice(min(start, last), min(start, last) + _GEMM_ROWS)
-            np.matmul(rows[block], squares, out=sums[block])
-        np.minimum(sums, np.finfo(float).max, out=sums)  # members stay below inf
-        penalty = np.reciprocal(rows)
-    penalty -= 1.0
-    sums += penalty
-    return sums.reshape(L, J, n)
+    m, n = rows.shape
+    step = _gemm_rows(n)
+    last = max(m - step, 0)
+    with np.errstate(over="ignore"):
+        for start in range(0, m, step):
+            block = slice(min(start, last), min(start, last) + step)
+            np.matmul(rows[block], squares, out=out[block])
+        np.minimum(out, np.finfo(float).max, out=out)  # members stay below inf
+    out += penalty
 
 
-def _medoids(masks: np.ndarray, squares: np.ndarray) -> np.ndarray:
-    """(L, J) medoid of each group of an (L, J, n) stack of 0/1 masks: the
-    lowest-index member whose group sum of ``squares`` lies within
+def _medoids(
+    masks: np.ndarray, counts: np.ndarray, squares: Sequence[np.ndarray]
+) -> List[np.ndarray]:
+    """(L, J) medoids of each group of an (L, J, n) stack of 0/1 masks with
+    (L, J) member ``counts``, one array per matrix of ``squares``: the
+    lowest-index member whose group sum of that matrix lies within
     2(n_j - 1)·eps·min of the group's least sum, the rounding bound of any
     n_j-term summation order (Higham 2002, §4.2).
 
     Only this pick leaves the function, and the slack makes it independent
     of how the sums are grouped, so :func:`_medoid_sums` multiplies the masks
-    in four-row GEMM blocks and gives non-members an additive +inf.  The
-    centroid sums ``masks @ X`` in the engine keep one GEMM per labeling:
-    their bits reach the statistics, four-row blocks moved them at k ≤ 10
-    (and with them the continuous T_FA p-values), and they were slower at
-    small k."""
-    big = np.finfo(float).max
-    sums = _medoid_sums(masks, squares)
-    least = sums.min(axis=2, keepdims=True)
-    slack = 2.0 * (masks.sum(axis=2, keepdims=True) - 1.0) * np.finfo(float).eps
-    # capped, or a group whose sums clip to the largest float admits +inf
-    with np.errstate(over="ignore"):
-        limit = np.minimum(least + slack * least, big)
-    return np.argmin(sums > limit, axis=2)  # the first member within the limit
+    in GEMM calls as tall as one BLAS thread allows and gives non-members an
+    additive +inf.  The penalty, the slack and the sums buffer are built once
+    and serve every matrix.  The centroid sums ``masks @ X`` in the engine
+    keep one GEMM per labeling: their bits reach the statistics, four-row
+    blocks moved them at k ≤ 10 (and with them the continuous T_FA
+    p-values), and they were slower at small k."""
+    L, J, n = masks.shape
+    rows = masks.reshape(L * J, n)
+    with np.errstate(divide="ignore"):
+        penalty = np.reciprocal(rows)
+    penalty -= 1.0
+    slack = 2.0 * (counts.reshape(L * J, 1) - 1.0) * np.finfo(float).eps
+    sums = np.empty((L * J, n), dtype=float)
+    picks = []
+    for sq in squares:
+        _medoid_sums(rows, sq, penalty, sums)
+        least = sums.min(axis=1, keepdims=True)
+        # capped, or a group whose sums clip to the largest float admits +inf
+        with np.errstate(over="ignore"):
+            limit = np.minimum(least + slack * least, np.finfo(float).max)
+        # the first member within the limit
+        picks.append(np.argmin(sums > limit, axis=1).reshape(L, J))
+    return picks
 
 
 def _check_subset(n: int, subset: Optional[Sequence[int]]) -> np.ndarray:
@@ -312,7 +337,8 @@ def _mean_and_distances(
     else:
         if squares is None:
             squares = _clipped_squares(sample.pairwise()[np.ix_(idx, idx)])
-        index = int(idx[_medoids(np.ones((1, 1, idx.size)), squares)[0, 0]])
+        everyone = np.ones((1, 1, idx.size))
+        index = int(idx[_medoids(everyone, everyone.sum(axis=2), [squares])[0][0, 0]])
         point, d = sample.point(index), sample.pairwise()[idx, index]
     solver = "exact" if index is None else "medoid"
     result = FrechetMeanResult(mean=point, objective=_mean_square(d), solver=solver, index=index)

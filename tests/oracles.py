@@ -83,7 +83,7 @@ def oracle_group_profiles(ms, codes):
                     idx = np.flatnonzero(codes[l] == j)
                     out[l, idx, s] = sp.distances_to(sp.mean_of(idx), idx)
         else:
-            medoids = _medoids(masks, _clipped_squares(sp.pairwise()))
+            medoids, = _medoids(masks, counts, [_clipped_squares(sp.pairwise())])
             out[:, :, s] = sp.pairwise()[np.arange(n), medoids[rows, codes]]
     return out
 

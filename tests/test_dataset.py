@@ -239,6 +239,25 @@ class TestValidation:
         with pytest.raises(DataError, match=f"^trailing content at line {len(text.splitlines())}$"):
             loads_msd(text)
 
+    def test_comments_leave_lines_and_line_numbers(self):
+        # the reader splits comments off only when the text holds a '#'
+        ms = gen_scenario1(Scenario1Params.from_effect(1, 0.0, n1=3, n2=3), seed=2)
+        plain = dumps_msd(ms).splitlines()
+        plain[2:2] = ["", "   "]
+        commented = [
+            "# a full-line comment" if not line.strip() else line + ("  # trailing" if i % 2 else "")
+            for i, line in enumerate(plain)
+        ]
+        assert "#" not in "\n".join(plain)
+        readers = [dataset._LineReader("\n".join(lines) + "\n") for lines in (plain, commented)]
+        assert readers[0].lines == readers[1].lines == [line.strip() for line in plain if line.strip()]
+        assert readers[0].numbers == readers[1].numbers
+        assert readers[0].numbers[:3] == [1, 2, 5]
+        for lines in (plain, commented):
+            text = "\n".join(lines + ["1.0 2.0"]) + "\n"
+            with pytest.raises(DataError, match=f"^trailing content at line {len(plain) + 1}$"):
+                loads_msd(text)
+
     def test_comments_and_blank_lines_ignored(self):
         ms = gen_scenario1(Scenario1Params.from_effect(1, 0.0, n1=3, n2=3), seed=4)
         text = dumps_msd(ms)

@@ -13,6 +13,7 @@ from metricmanova.samples import (
     GroupedMultiSample,
     SpaceSample,
     _clipped_squares,
+    _gemm_rows,
     _medoid_sums,
     _medoids,
     distance_profile,
@@ -422,12 +423,20 @@ class TestDistanceProfile:
 
 
 class TestMedoidSums:
-    """``_medoid_sums`` multiplies the L·J mask rows four at a time, the last
-    call taking the final four rows; these stacks leave every remainder of
-    L·J mod 4, so full blocks and the overlapping last one run in one call."""
+    """``_medoid_sums`` multiplies the mask rows ``_gemm_rows(n)`` at a time,
+    the last call taking the final rows; at each n of the grid the row counts
+    leave every remainder modulo that step, and stacks shorter than one step,
+    so full calls and the overlapping last one run.  ``_medoids`` shares its
+    penalty, slack and sums buffer across the matrices it is given."""
+
+    GRID = (23, 200, 300, 360)  # 1024, 16, 8 and 4 rows per call
+
+    @classmethod
+    def _squares(cls, n, far):
+        return _clipped_squares(cls._distances(n, far))
 
     @staticmethod
-    def _squares(n, far):
+    def _distances(n, far):
         rng = np.random.default_rng(17)
         upper = np.triu(rng.integers(1, 4, size=(n, n)).astype(float), 1)
         # small integers tie many group sums exactly; observations 0, 4, 9
@@ -438,35 +447,103 @@ class TestMedoidSums:
         dist = (upper + upper.T)[np.ix_(point, point)]
         dist[5, :] *= far
         dist[:, 5] *= far
-        return _clipped_squares(dist)
+        return dist
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
-    @pytest.mark.parametrize("far", [1.0, 1.0e200])
-    @pytest.mark.parametrize(
-        "J, L", [(1, 1), (2, 1), (2, 3), (3, 1), (3, 2), (3, 3), (3, 4), (3, 29), (5, 1), (5, 3)]
-    )
-    def test_blocks_match_one_product_and_the_in_order_rule(self, J, L, far):
-        n = 23
-        squares = self._squares(n, far)
-        rng = np.random.default_rng(100 * J + L)
+    @staticmethod
+    def _masks(n, J, L, seed):
+        rng = np.random.default_rng(seed)
         codes = np.stack([rng.permutation(np.arange(n) % J) for _ in range(L)])
         if J > 1:
             # labeling 0's group 0 is the four copies of one point: zero sums
             codes[0] = 1 + np.arange(n) % (J - 1)
             codes[0, [0, 4, 9, 13]] = 0
-        masks = (codes[:, None, :] == np.arange(J)[None, :, None]).astype(float)
+        return codes, (codes[:, None, :] == np.arange(J)[None, :, None]).astype(float)
+
+    @staticmethod
+    def _one_product(rows, squares):
         with np.errstate(over="ignore"):
-            plain = np.minimum(masks @ squares, np.finfo(float).max)
-        plain[masks == 0.0] = np.inf
-        sums = _medoid_sums(masks, squares)
-        assert sums.tobytes() == plain.tobytes()
-        picks = _medoids(masks, squares)
+            plain = np.minimum(rows @ squares, np.finfo(float).max)
+        plain[rows == 0.0] = np.inf
+        return plain
+
+    def test_rows_per_call(self):
+        for n in range(1, 1201):
+            rows = _gemm_rows(n)
+            assert rows >= 4 and rows & (rows - 1) == 0, n
+            if n <= 500:
+                assert rows * n * n <= 10**6 < 2 * rows * n * n, n
+            else:
+                assert rows == 4, n
+        assert [_gemm_rows(n) for n in (23, 176, 177, 250, 251, 300, 353, 354, 360, 500)] == [
+            1024, 32, 16, 16, 8, 8, 8, 4, 4, 4
+        ]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("far", [1.0, 1.0e200])
+    @pytest.mark.parametrize("n", GRID)
+    def test_sums_match_one_product_at_every_remainder(self, n, far):
+        squares = self._squares(n, far)
+        step = _gemm_rows(n)
+        _, masks = self._masks(n, 3, (2 * step + 1) // 3 + 1, seed=n)
+        rows = masks.reshape(-1, n)
+        with np.errstate(divide="ignore"):
+            penalty = np.reciprocal(rows) - 1.0
+        plain = self._one_product(rows, squares)
+        for m in range(1, 2 * step + 2):  # one row, a remainder of each size, two full calls
+            sums = np.empty((m, n))
+            _medoid_sums(rows[:m], squares, penalty[:m], sums)
+            assert sums.tobytes() == plain[:m].tobytes(), m
+        assert np.all(sums[0, [0, 4, 9, 13]] == 0.0)  # labeling 0's group 0
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("far", [1.0, 1.0e200])
+    @pytest.mark.parametrize(
+        "n, J, L",
+        [(23, J, L) for J, L in [(1, 1), (2, 1), (2, 3), (3, 1), (3, 2), (3, 3), (3, 4), (3, 29)]]
+        + [(23, 5, 1), (23, 5, 3)]
+        + [(n, 3, 5) for n in GRID[1:]],
+    )
+    def test_picks_follow_the_in_order_rule(self, n, J, L, far):
+        squares = self._squares(n, far)
+        codes, masks = self._masks(n, J, L, seed=100 * J + L)
+        picks, = _medoids(masks, masks.sum(axis=2), [squares])
         for l in range(L):
             for j in range(J):
                 idx = np.flatnonzero(codes[l] == j)
                 assert picks[l, j] == oracle_medoid_in_order(squares, idx)
-        if J > 1:
-            assert np.all(sums[0, 0, [0, 4, 9, 13]] == 0.0)
+
+    @staticmethod
+    def _tight_far_group():
+        # 20 points of spread 1e-3 about 1.4e4 away from 40 others: the tight
+        # group's sums are tiny against its row totals, so a group sum taken
+        # as the row total minus the other groups' errs far past the slack
+        rng = np.random.default_rng(23)
+        x = np.concatenate([rng.normal(size=(20, 2)) * 1e-3 + 1.4e4, rng.normal(size=(40, 2))])
+        return np.linalg.norm(x[:, None] - x[None], axis=2)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("n_spaces", [2, 3])
+    def test_shared_pass_gives_each_matrix_its_own_picks(self, n_spaces):
+        n, J, L = 60, 3, 12
+        matrices = [self._tight_far_group(), self._distances(n, 1e200), self._distances(n, 1.0)]
+        squares = [_clipped_squares(d) for d in matrices[:n_spaces]]
+        codes, masks = self._masks(n, J, L, seed=n_spaces)
+        codes[1] = np.repeat([0, 1, 2], 20)  # the tight group alone in group 0
+        masks = (codes[:, None, :] == np.arange(J)[None, :, None]).astype(float)
+        counts = masks.sum(axis=2)
+        shared = _medoids(masks, counts, squares)
+        assert len(shared) == n_spaces
+        for sq, picks in zip(squares, shared):
+            alone, = _medoids(masks, counts, [sq])
+            assert np.array_equal(picks, alone)
+            for l in range(L):
+                for j in range(J):
+                    assert picks[l, j] == oracle_medoid_in_order(sq, np.flatnonzero(codes[l] == j))
+        # through the engine: medoid spaces around a centroid space
+        spaces = [distance_matrix_space(f"D{s}", d) for s, d in enumerate(matrices[:n_spaces])]
+        spaces.insert(1, euclidean_space("E", np.random.default_rng(3).normal(size=(n, 2))))
+        ms = GroupedMultiSample(spaces, np.repeat([0, 1, 2], 20))
+        assert np.array_equal(StatEngine(ms).group_profiles(codes), oracle_group_profiles(ms, codes))
 
 
 def _on_kernel_grid(test):
